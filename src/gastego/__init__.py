@@ -32,7 +32,7 @@ from .errors import (
     UnreachableOptimum,
     UnsupportedFormat,
 )
-from .ga_adjust import GaParams, SampleChromosome, crossover, fitness, mutate, run_ga
+from .ga_adjust import GaParams, run_ga
 from .keystream import (
     MasterKey,
     SplitMix64,
@@ -52,7 +52,6 @@ from .pipeline import (
     format_key_file,
     parse_key_file,
     snr_db,
-    verify_sample,
 )
 from .wav_io import AudioBuffer, parse_wav, write_wav
 
@@ -74,7 +73,6 @@ __all__ = [
     "MalformedContainer",
     "MasterKey",
     "MsgGaParams",
-    "SampleChromosome",
     "SnrNotDefined",
     "SplitMix64",
     "StegoError",
@@ -85,17 +83,14 @@ __all__ = [
     "adjust_nearest",
     "alter",
     "capacity_bits",
-    "crossover",
     "derive_key_from_genes",
     "derive_seed",
     "distance",
     "embed",
     "evolve",
     "extract",
-    "fitness",
     "fnv1a64",
     "format_key_file",
-    "mutate",
     "oracle_nearest",
     "parse_key_file",
     "parse_wav",
@@ -106,7 +101,6 @@ __all__ = [
     "sample_raw",
     "sample_value",
     "snr_db",
-    "verify_sample",
     "write_wav",
     "xor_keystream",
 ]

@@ -118,13 +118,6 @@ def _scatter(field: int, positions: list[int]) -> int:
     return v
 
 
-def _gather(raw: int, positions: list[int]) -> int:
-    f = 0
-    for i, p in enumerate(positions):
-        f |= ((raw >> p) & 1) << i
-    return f
-
-
 def adjust_nearest(sample: int, mask: LayerMask, pattern: Sequence[int]) -> int:
     """Nearest raw value that carries `pattern` at `mask`.
 

@@ -275,7 +275,7 @@ def cmd_oracle_check(args) -> int:
               f"never worse than plain: {never_worse}")
         if rate < 99.0 or not never_worse:
             print("ga engine below its optimality bar", file=sys.stderr)
-            return 2
+            return 4
     else:
         print("ga: skipped (--samples 0)")
     return 0

@@ -12,8 +12,9 @@ was tried first and collapses the population onto one attractor, measurably
 missing the per-sample optimum; the tournament keeps mid-fitness members
 breeding while staying fully reproducible.
 
-Draw discipline (normative, so batch and scalar execution agree bit-for-bit):
-the stream for one run is SplitMix64(seed). Draws are consumed in this order:
+Draw discipline (normative; `reference_run_ga` in tests/test_ga_adjust.py is
+the one-draw-at-a-time transliteration that pins it): the stream for one run
+is SplitMix64(seed). Draws are consumed in this order:
 
 * population init: one draw per random member (population_size - 2 draws),
   each mapped by next_below(2**bit_depth);
@@ -33,8 +34,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .bitplane import LayerMask, distance, sample_value
-from .keystream import MASK64, SplitMix64, _mulhi_small, stream_outputs
+from .bitplane import LayerMask
+from .keystream import MASK64, _mulhi_small, stream_outputs
 
 
 @dataclass(frozen=True)
@@ -58,63 +59,6 @@ class GaParams:
             raise ValueError("elitism_count must be in [1, population_size)")
 
 
-@dataclass(frozen=True)
-class SampleChromosome:
-    """A raw sample value whose mask positions are pinned to a bit pattern."""
-
-    value: int
-    mask: LayerMask
-    pattern: tuple[int, ...]
-
-    def __post_init__(self):
-        object.__setattr__(self, "pattern", tuple(self.pattern))
-        if self.mask.unpack(self.value) != self.pattern:
-            raise ValueError(
-                f"chromosome value {self.value} does not carry its pattern"
-            )
-
-    @classmethod
-    def repaired(
-        cls, raw: int, mask: LayerMask, pattern: Sequence[int]
-    ) -> "SampleChromosome":
-        """Build a valid chromosome by forcing the frozen loci to the pattern."""
-        packed = mask.pack(pattern)
-        return cls((raw & ~mask.bits) | packed, mask, tuple(pattern))
-
-
-def fitness(candidate: SampleChromosome, original: int) -> int:
-    """Negated distortion: 0 iff the candidate equals the original sample."""
-    return -distance(candidate.value, original, candidate.mask.bit_depth)
-
-
-def crossover(
-    a: SampleChromosome, b: SampleChromosome, cut_point: int
-) -> tuple[SampleChromosome, SampleChromosome]:
-    """Single-point gene exchange at cut_point, then repair of the frozen loci.
-
-    Offspring one takes a's loci 1..cut_point and b's loci above; offspring
-    two is the mirror image. cut_point must lie in [1, bit_depth).
-    """
-    if a.mask != b.mask or a.pattern != b.pattern:
-        raise ValueError("parents must share mask and pattern")
-    bd = a.mask.bit_depth
-    if not 1 <= cut_point < bd:
-        raise ValueError(f"cut_point must be in [1, {bd}), got {cut_point}")
-    o1, o2 = _crossover_ints(a.value, b.value, cut_point)
-    return (
-        SampleChromosome.repaired(o1, a.mask, a.pattern),
-        SampleChromosome.repaired(o2, a.mask, a.pattern),
-    )
-
-
-def mutate(
-    c: SampleChromosome, mutation_prob: float, rng: SplitMix64
-) -> SampleChromosome:
-    """Flip each non-frozen locus independently with probability mutation_prob."""
-    flips = _mutation_flips(c.mask.bit_depth, _prob_threshold(mutation_prob), rng)
-    return SampleChromosome(c.value ^ (flips & ~c.mask.bits), c.mask, c.pattern)
-
-
 def run_ga(
     sample: int,
     mask: LayerMask,
@@ -123,71 +67,14 @@ def run_ga(
     seed: int,
 ) -> int:
     """Evolve one sample; returns the fittest raw value found."""
-    value, _history = run_ga_detailed(sample, mask, pattern, params, seed)
-    return value
-
-
-def run_ga_detailed(
-    sample: int,
-    mask: LayerMask,
-    pattern: Sequence[int],
-    params: GaParams,
-    seed: int,
-) -> tuple[int, list[int]]:
-    """run_ga plus the best fitness recorded at init and after each generation."""
-    bd = mask.bit_depth
-    mask_bits = mask.bits
-    pattern_bits = mask.pack(pattern)
-    rng = SplitMix64(seed)
-    pc_thr = _prob_threshold(params.crossover_prob)
-    pm_thr = _prob_threshold(params.mutation_prob)
-    P = params.population_size
-
-    def repair(raw: int) -> int:
-        return (raw & ~mask_bits) | pattern_bits
-
-    def sort_key(raw: int) -> tuple[int, int]:
-        # fittest first; distance ties go to the smaller sample value
-        return (distance(raw, sample, bd), _biased(raw, bd))
-
-    # First generation: the original (repaired so it is a legal carrier), the
-    # plain altered sample, then random carriers up to the population size.
-    pop = [repair(sample), repair(sample)]
-    pop += [repair(rng.next_below(1 << bd)) for _ in range(P - 2)]
-
-    need = P - params.elitism_count
-    pairs = (need + 1) // 2
-    history: list[int] = []
-
-    for _ in range(params.generations):
-        pop.sort(key=sort_key)
-        best_fit = -distance(pop[0], sample, bd)
-        if not history:
-            history.append(best_fit)
-        if best_fit == 0:
-            break
-        elites = pop[: params.elitism_count]
-        offspring: list[int] = []
-        for _ in range(pairs):
-            ca, cb = pop[rng.next_below(P)], pop[rng.next_below(P)]
-            p1 = ca if sort_key(ca) <= sort_key(cb) else cb
-            ca, cb = pop[rng.next_below(P)], pop[rng.next_below(P)]
-            p2 = ca if sort_key(ca) <= sort_key(cb) else cb
-            u_cross = rng.next64()
-            u_cut = rng.next64()
-            if u_cross < pc_thr:
-                cut = 1 + ((u_cut * (bd - 1)) >> 64)
-                o1, o2 = _crossover_ints(p1, p2, cut)
-            else:
-                o1, o2 = p1, p2
-            o1 = repair(o1 ^ (_mutation_flips(bd, pm_thr, rng) & ~mask_bits))
-            o2 = repair(o2 ^ (_mutation_flips(bd, pm_thr, rng) & ~mask_bits))
-            offspring += [o1, o2]
-        pop = elites + offspring[:need]
-        history.append(-distance(min(pop, key=sort_key), sample, bd))
-
-    pop.sort(key=sort_key)
-    return pop[0], history
+    best = run_ga_batch(
+        np.array([sample], dtype=np.int64),
+        np.array([mask.pack(pattern)], dtype=np.int64),
+        mask,
+        params,
+        np.array([seed], dtype=np.uint64),
+    )
+    return int(best[0])
 
 
 def run_ga_batch(
@@ -197,12 +84,13 @@ def run_ga_batch(
     params: GaParams,
     seeds: np.ndarray,
 ) -> np.ndarray:
-    """Run many independent GAs in lockstep; bit-identical to run_ga per row.
+    """Run many independent GAs in lockstep; returns each row's fittest value.
 
     `samples` and `pattern_bits` are raw int64 arrays of shape (S,); `seeds`
     is uint64 of shape (S,). All rows share mask and params, which is exactly
-    the embedding pipeline's situation. Equivalence with the scalar path is
-    enforced by tests.
+    the embedding pipeline's situation. Each row consumes its own stream in
+    the normative draw order of the module docstring, so a row's result does
+    not depend on the other rows in the batch.
     """
     S = len(samples)
     if S == 0:
@@ -216,8 +104,7 @@ def run_ga_batch(
     need = P - E
     pairs = (need + 1) // 2
     draws_per_pair = 6 + 2 * bd
-    locus_weights = (np.int64(1) << np.arange(bd, dtype=np.int64))[None, :]
-    rows = np.arange(S)
+    locus_weights = np.int64(1) << np.arange(bd, dtype=np.int64)
 
     samples = np.asarray(samples, dtype=np.int64)
     pattern_bits = np.asarray(pattern_bits, dtype=np.int64)
@@ -235,20 +122,55 @@ def run_ga_batch(
     orig_b = (samples ^ bias)[:, None]
     offset = P - 2  # draws consumed so far, per stream
 
-    def spawn_flips(block: np.ndarray) -> np.ndarray:
-        if pm_thr > MASK64:
-            return np.full(S, (1 << bd) - 1, dtype=np.int64)
-        flipped = block < np.uint64(pm_thr)
-        return (flipped.astype(np.int64) * locus_weights).sum(axis=1)
+    def sort_key(values: np.ndarray) -> np.ndarray:
+        # fittest first; distance ties go to the smaller sample value
+        biased = values ^ bias
+        return (np.abs(biased - orig_b) << bd) | biased
 
-    def tournament(sorted_pop, sorted_key, ua, ub):
-        ia = _mulhi_small(ua, P).astype(np.int64)
-        ib = _mulhi_small(ub, P).astype(np.int64)
-        first_wins = sorted_key[rows, ia] <= sorted_key[rows, ib]
-        return sorted_pop[rows, np.where(first_wins, ia, ib)]
+    def breed(pop: np.ndarray, key: np.ndarray, first: int) -> np.ndarray:
+        """Offspring of one generation from draws first.. of every stream.
+
+        A function of its own so that the draw block and the per-pair arrays
+        are freed before the next generation draws its block.
+        """
+        block = stream_outputs(seeds, first, pairs * draws_per_pair)
+        block = block.reshape(S, pairs, draws_per_pair)
+
+        # Two tournaments per pair: candidates (0, 1) pick parent one and
+        # (2, 3) parent two; the first candidate wins ties.
+        picks = _mulhi_small(block[:, :, :4], P).astype(np.int64).reshape(S, -1)
+        picked_key = np.take_along_axis(key, picks, axis=1).reshape(S, pairs, 2, 2)
+        picks = picks.reshape(S, pairs, 2, 2)
+        winners = np.where(
+            picked_key[..., 0] <= picked_key[..., 1], picks[..., 0], picks[..., 1]
+        )
+        parents = np.take_along_axis(pop, winners.reshape(S, -1), axis=1)
+        parents = parents.reshape(S, pairs, 2)
+
+        # Single-point crossover: each child keeps its own parent's loci
+        # 1..cut and takes the other parent's loci above.
+        if pc_thr > MASK64:
+            do_cross = True
+        else:
+            do_cross = (block[:, :, 4] < np.uint64(pc_thr))[:, :, None]
+        cut = 1 + _mulhi_small(block[:, :, 5], bd - 1).astype(np.int64)
+        low = ((np.int64(1) << cut) - 1)[:, :, None]
+        crossed = (parents & low) | (parents[:, :, ::-1] & ~low)
+        children = np.where(do_cross, crossed, parents)
+
+        # One draw per locus per child; frozen loci are restored afterwards.
+        if pm_thr > MASK64:
+            flips = np.int64((1 << bd) - 1)
+        else:
+            hit = (block[:, :, 6:] < np.uint64(pm_thr)).reshape(S, pairs, 2, bd)
+            flips = hit.astype(np.int64) @ locus_weights
+        children = ((children ^ flips) & ~mask_bits) | pattern_bits[:, None, None]
+
+        # children of pair p sit at 2p and 2p + 1, then truncate to `need`
+        return children.reshape(S, -1)[:, :need]
 
     for _ in range(params.generations):
-        key = (np.abs((pop ^ bias) - orig_b) << bd) | (pop ^ bias)
+        key = sort_key(pop)
         order = np.argsort(key, axis=1)
         pop = np.take_along_axis(pop, order, axis=1)
         key = np.take_along_axis(key, order, axis=1)
@@ -256,58 +178,14 @@ def run_ga_batch(
         # elite slot pins them, so stopping early is purely an optimization.
         if not np.abs((pop[:, 0] ^ bias) - orig_b[:, 0]).any():
             break
-        block = stream_outputs(seeds, offset + 1, pairs * draws_per_pair)
+        children = breed(pop, key, offset + 1)
         offset += pairs * draws_per_pair
-        children = []
-        for p in range(pairs):
-            base = p * draws_per_pair
-            p1 = tournament(pop, key, block[:, base], block[:, base + 1])
-            p2 = tournament(pop, key, block[:, base + 2], block[:, base + 3])
-            u_cross = block[:, base + 4]
-            u_cut = block[:, base + 5]
-            do_cross = (
-                u_cross < np.uint64(pc_thr)
-                if pc_thr <= MASK64
-                else np.ones(S, dtype=bool)
-            )
-            cut = 1 + _mulhi_small(u_cut, bd - 1).astype(np.int64)
-            low = (np.int64(1) << cut) - 1
-            c1 = np.where(do_cross, (p1 & low) | (p2 & ~low), p1)
-            c2 = np.where(do_cross, (p2 & low) | (p1 & ~low), p2)
-            f1 = spawn_flips(block[:, base + 6 : base + 6 + bd])
-            f2 = spawn_flips(block[:, base + 6 + bd : base + 6 + 2 * bd])
-            c1 = ((c1 ^ (f1 & ~mask_bits)) & ~mask_bits) | pattern_bits
-            c2 = ((c2 ^ (f2 & ~mask_bits)) & ~mask_bits) | pattern_bits
-            children += [c1, c2]
-        pop = np.column_stack([pop[:, :E]] + children[:need])
+        pop = np.concatenate([pop[:, :E], children], axis=1)
 
-    key = (np.abs((pop ^ bias) - orig_b) << bd) | (pop ^ bias)
-    order = np.argsort(key, axis=1)
-    return np.take_along_axis(pop, order, axis=1)[:, 0]
-
-
-# --- shared helpers -------------------------------------------------------------
-
-
-def _biased(raw: int, bit_depth: int) -> int:
-    """Order-preserving unsigned image of the sample value."""
-    return raw ^ (1 << 15) if bit_depth == 16 else raw
+    best = sort_key(pop).argmin(axis=1)[:, None]
+    return np.take_along_axis(pop, best, axis=1)[:, 0]
 
 
 def _prob_threshold(prob: float) -> int:
     """Draw u hits the event iff u < threshold; exact for prob 0 and 1."""
     return (1 << 64) if prob >= 1.0 else int(prob * (1 << 64))
-
-
-def _crossover_ints(a: int, b: int, cut: int) -> tuple[int, int]:
-    low = (1 << cut) - 1
-    return (a & low) | (b & ~low), (b & low) | (a & ~low)
-
-
-def _mutation_flips(bit_depth: int, threshold: int, rng: SplitMix64) -> int:
-    """One draw per locus 1..bit_depth; bit set where the draw hits."""
-    flips = 0
-    for locus in range(bit_depth):
-        if rng.next64() < threshold:
-            flips |= 1 << locus
-    return flips

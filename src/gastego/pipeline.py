@@ -131,11 +131,6 @@ def capacity_bits(buffer: AudioBuffer, mask: LayerMask) -> int:
     return len(buffer.samples) * mask.k
 
 
-def verify_sample(original: int, modified: int, threshold: int | float) -> bool:
-    """Accept iff the sample-value deviation is within the threshold."""
-    return abs(original - modified) <= threshold
-
-
 def snr_db(original: AudioBuffer, stego: AudioBuffer) -> float:
     """Signal-to-noise ratio of the embedding, in dB, on sample values.
 

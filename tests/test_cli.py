@@ -5,7 +5,7 @@ import random
 
 import pytest
 
-from gastego import bitplane
+from gastego import bitplane, ga_adjust
 from gastego.cli import main
 from gastego.wav_io import AudioBuffer, parse_wav, write_wav
 
@@ -217,6 +217,18 @@ class TestOracleCheck:
             lambda sample, mask, pattern: bitplane.alter(sample, mask, pattern),
         )
         assert main(["oracle-check", "--samples", "0"]) == 4
+
+    def test_ga_below_bar_exits_4(self, monkeypatch, capsys):
+        # a GA that only substitutes is never worse than plain, yet misses
+        # the optimum far below the 99% bar
+        monkeypatch.setattr(
+            ga_adjust, "run_ga",
+            lambda sample, mask, pattern, params, seed: bitplane.alter(sample, mask, pattern),
+        )
+        assert main(["oracle-check", "--samples", "100"]) == 4
+        captured = capsys.readouterr()
+        assert "never worse than plain: True" in captured.out
+        assert "below its optimality bar" in captured.err
 
 
 class TestBench:

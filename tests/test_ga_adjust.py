@@ -1,22 +1,110 @@
-"""Per-sample GA: operators, invariants, oracle quality, batch equivalence."""
+"""Per-sample GA: reference operators, invariants, oracle quality, equivalence
+of the production engine with the scalar reference."""
 
 import random
 
 import numpy as np
 import pytest
 
-from gastego.bitplane import LayerMask, alter, distance, oracle_nearest, read_bits
-from gastego.ga_adjust import (
-    GaParams,
-    SampleChromosome,
-    crossover,
-    fitness,
-    mutate,
-    run_ga,
-    run_ga_batch,
-    run_ga_detailed,
+from gastego.bitplane import (
+    LayerMask,
+    alter,
+    distance,
+    oracle_nearest,
+    read_bits,
+    sample_value,
 )
+from gastego.ga_adjust import GaParams, run_ga, run_ga_batch
 from gastego.keystream import SplitMix64
+
+
+# --- scalar reference ----------------------------------------------------------
+# A one-draw-at-a-time transliteration of the draw order documented in
+# gastego.ga_adjust, kept deliberately naive. It pins the normative order that
+# the vectorized run_ga_batch must reproduce bit-for-bit.
+
+
+def prob_threshold(prob):
+    """Draw u hits the event iff u < threshold; exact for prob 0 and 1."""
+    return (1 << 64) if prob >= 1.0 else int(prob * (1 << 64))
+
+
+def repair(raw, mask, pattern_bits):
+    """Force the frozen loci of a raw value to the packed payload pattern."""
+    return (raw & ~mask.bits) | pattern_bits
+
+
+def fitness(raw, sample, bit_depth):
+    """Negated distortion: 0 iff the candidate equals the original sample."""
+    return -distance(raw, sample, bit_depth)
+
+
+def crossover_ints(a, b, cut):
+    """Offspring one takes a's loci 1..cut and b's above; two is the mirror."""
+    low = (1 << cut) - 1
+    return (a & low) | (b & ~low), (b & low) | (a & ~low)
+
+
+def mutation_flips(bit_depth, threshold, rng):
+    """One draw per locus 1..bit_depth; bit set where the draw hits."""
+    flips = 0
+    for locus in range(bit_depth):
+        if rng.next64() < threshold:
+            flips |= 1 << locus
+    return flips
+
+
+def reference_run_ga(sample, mask, pattern, params, seed):
+    """Fittest raw value plus the best fitness at init and after each generation."""
+    bd = mask.bit_depth
+    pattern_bits = mask.pack(pattern)
+    rng = SplitMix64(seed)
+    pc_thr = prob_threshold(params.crossover_prob)
+    pm_thr = prob_threshold(params.mutation_prob)
+    P = params.population_size
+
+    def sort_key(raw):
+        # fittest first; distance ties go to the smaller sample value
+        return (distance(raw, sample, bd), sample_value(raw, bd))
+
+    # First generation: the original (repaired so it is a legal carrier), the
+    # plain altered sample, then random carriers up to the population size.
+    pop = [repair(sample, mask, pattern_bits)] * 2
+    pop += [repair(rng.next_below(1 << bd), mask, pattern_bits) for _ in range(P - 2)]
+
+    need = P - params.elitism_count
+    pairs = (need + 1) // 2
+    history = []
+
+    for _ in range(params.generations):
+        pop.sort(key=sort_key)
+        best_fit = fitness(pop[0], sample, bd)
+        if not history:
+            history.append(best_fit)
+        if best_fit == 0:
+            break
+        elites = pop[: params.elitism_count]
+        offspring = []
+        for _ in range(pairs):
+            ca, cb = pop[rng.next_below(P)], pop[rng.next_below(P)]
+            p1 = ca if sort_key(ca) <= sort_key(cb) else cb
+            ca, cb = pop[rng.next_below(P)], pop[rng.next_below(P)]
+            p2 = ca if sort_key(ca) <= sort_key(cb) else cb
+            u_cross = rng.next64()
+            u_cut = rng.next64()
+            if u_cross < pc_thr:
+                cut = 1 + ((u_cut * (bd - 1)) >> 64)
+                o1, o2 = crossover_ints(p1, p2, cut)
+            else:
+                o1, o2 = p1, p2
+            o1 = repair(o1 ^ mutation_flips(bd, pm_thr, rng), mask, pattern_bits)
+            o2 = repair(o2 ^ mutation_flips(bd, pm_thr, rng), mask, pattern_bits)
+            offspring += [o1, o2]
+        pop = elites + offspring[:need]
+        history.append(fitness(min(pop, key=sort_key), sample, bd))
+
+    pop.sort(key=sort_key)
+    return pop[0], history
 
 
 class TestGaParams:
@@ -47,40 +135,30 @@ class TestGaParams:
 class TestChromosomeAndFitness:
     def test_repaired_forces_pattern(self):
         m = LayerMask((5,), 8)
-        c = SampleChromosome.repaired(47, m, (1,))
-        assert c.value == 63
-        assert read_bits(c.value, m) == (1,)
-
-    def test_invalid_chromosome_rejected(self):
-        with pytest.raises(ValueError):
-            SampleChromosome(47, LayerMask((5,), 8), (1,))
+        value = repair(47, m, m.pack((1,)))
+        assert value == 63
+        assert read_bits(value, m) == (1,)
 
     def test_fitness_worked_examples(self):
         m5 = LayerMask((5,), 8)
-        assert fitness(SampleChromosome.repaired(48, m5, (1,)), 47) == -1
+        assert fitness(repair(48, m5, m5.pack((1,))), 47, 8) == -1
         m45 = LayerMask((4, 5), 8)
-        assert fitness(SampleChromosome.repaired(63, m45, (1, 1)), 39) == -24
+        assert fitness(repair(63, m45, m45.pack((1, 1))), 39, 8) == -24
 
     def test_fitness_zero_iff_equal(self):
         m = LayerMask((3,), 8)
-        c = SampleChromosome.repaired(100, m, read_bits(100, m))
-        assert fitness(c, 100) == 0
+        assert fitness(repair(100, m, 100 & m.bits), 100, 8) == 0
+        assert fitness(101, 100, 8) < 0
 
 
 class TestCrossover:
     def test_identical_parents_identical_offspring(self):
-        m = LayerMask((2,), 8)
-        a = SampleChromosome.repaired(170, m, (1,))
-        o1, o2 = crossover(a, a, 4)
-        assert o1 == a and o2 == a
+        assert crossover_ints(170, 170, 4) == (170, 170)
 
     def test_hand_worked_tail_swap(self):
-        m = LayerMask((1,), 8)
-        a = SampleChromosome.repaired(0b0000_0001, m, (1,))
-        b = SampleChromosome.repaired(0b1111_1111, m, (1,))
-        o1, o2 = crossover(a, b, 4)
-        assert o1.value == 0b1111_0001
-        assert o2.value == 0b0000_1111
+        o1, o2 = crossover_ints(0b0000_0001, 0b1111_1111, 4)
+        assert o1 == 0b1111_0001
+        assert o2 == 0b0000_1111
 
     def test_offspring_always_carry_pattern(self):
         rnd = random.Random(4)
@@ -89,56 +167,41 @@ class TestCrossover:
             k = rnd.randint(1, 3)
             m = LayerMask(tuple(rnd.sample(range(1, bd + 1), k)), bd)
             pattern = tuple(rnd.randint(0, 1) for _ in range(k))
-            a = SampleChromosome.repaired(rnd.randrange(1 << bd), m, pattern)
-            b = SampleChromosome.repaired(rnd.randrange(1 << bd), m, pattern)
+            a = repair(rnd.randrange(1 << bd), m, m.pack(pattern))
+            b = repair(rnd.randrange(1 << bd), m, m.pack(pattern))
             cut = rnd.randint(1, bd - 1)
-            for child in crossover(a, b, cut):
-                assert read_bits(child.value, m) == pattern
-
-    def test_rejects_mismatched_parents_and_cuts(self):
-        m = LayerMask((1,), 8)
-        a = SampleChromosome.repaired(3, m, (1,))
-        b = SampleChromosome.repaired(3, LayerMask((2,), 8), (1,))
-        with pytest.raises(ValueError):
-            crossover(a, b, 3)
-        with pytest.raises(ValueError):
-            crossover(a, a, 8)
-        with pytest.raises(ValueError):
-            crossover(a, a, 0)
+            for child in crossover_ints(a, b, cut):
+                assert read_bits(child, m) == pattern
 
 
 class TestMutate:
     def test_prob_zero_is_identity(self):
-        m = LayerMask((4,), 8)
-        c = SampleChromosome.repaired(99, m, (0,))
-        assert mutate(c, 0.0, SplitMix64(1)) == c
+        assert mutation_flips(8, prob_threshold(0.0), SplitMix64(1)) == 0
 
     def test_prob_one_flips_everything_but_frozen(self):
         m = LayerMask((1,), 8)
-        c = SampleChromosome.repaired(0b0000_0001, m, (1,))
-        flipped = mutate(c, 1.0, SplitMix64(7))
-        assert flipped.value == 0b1111_1111
+        flips = mutation_flips(8, prob_threshold(1.0), SplitMix64(7))
+        assert flips == 0b1111_1111
+        assert repair(0b0000_0001 ^ flips, m, m.pack((1,))) == 0b1111_1111
 
     def test_frozen_loci_never_change(self):
         rnd = random.Random(5)
+        m = LayerMask((2, 7), 16)
         for _ in range(300):
-            m = LayerMask((2, 7), 16)
-            pattern = (rnd.randint(0, 1), rnd.randint(0, 1))
-            c = SampleChromosome.repaired(rnd.randrange(1 << 16), m, pattern)
-            out = mutate(c, 0.5, SplitMix64(rnd.getrandbits(64)))
-            assert read_bits(out.value, m) == pattern
+            pattern_bits = m.pack((rnd.randint(0, 1), rnd.randint(0, 1)))
+            value = repair(rnd.randrange(1 << 16), m, pattern_bits)
+            flips = mutation_flips(16, prob_threshold(0.5), SplitMix64(rnd.getrandbits(64)))
+            assert repair(value ^ flips, m, pattern_bits) & m.bits == pattern_bits
 
     def test_flip_rate_statistics(self):
         # 10,000 trials at prob 0.05: per-locus frequency within [0.03, 0.07]
-        m = LayerMask((1,), 8)
-        c = SampleChromosome.repaired(0, m, (0,))
         rng = SplitMix64(12345)
         flips = [0] * 8
         trials = 10_000
         for _ in range(trials):
-            out = mutate(c, 0.05, rng)
+            out = mutation_flips(8, prob_threshold(0.05), rng)
             for locus in range(1, 8):
-                flips[locus] += (out.value >> locus) & 1
+                flips[locus] += (out >> locus) & 1
         for locus in range(1, 8):
             assert 0.03 <= flips[locus] / trials <= 0.07
 
@@ -183,8 +246,10 @@ class TestRunGa:
         for _ in range(40):
             m = LayerMask((5,), 8)
             s = rnd.randrange(256)
-            _value, history = run_ga_detailed(s, m, (1,), GaParams(), rnd.getrandbits(64))
+            seed = rnd.getrandbits(64)
+            value, history = reference_run_ga(s, m, (1,), GaParams(), seed)
             assert all(a <= b for a, b in zip(history, history[1:]))
+            assert run_ga(s, m, (1,), GaParams(), seed) == value
 
     def test_small_population_edge(self):
         # population 2 leaves no room for random members
@@ -213,7 +278,8 @@ class TestBatchEquivalence:
             s = rnd.randrange(1 << bd)
             pattern = tuple(rnd.randint(0, 1) for _ in range(k))
             seed = rnd.getrandbits(64)
-            scalar = run_ga(s, m, pattern, params, seed)
+            scalar, _history = reference_run_ga(s, m, pattern, params, seed)
+            assert run_ga(s, m, pattern, params, seed) == scalar
             batch = run_ga_batch(
                 np.array([s], dtype=np.int64),
                 np.array([m.pack(pattern)], dtype=np.int64),
@@ -235,9 +301,10 @@ class TestBatchEquivalence:
         seeds = np.array([rnd.getrandbits(64) for _ in range(S)], dtype=np.uint64)
         batch = run_ga_batch(samples, pats, m, GaParams(), seeds)
         for i in range(S):
-            assert int(batch[i]) == run_ga(
+            scalar, _history = reference_run_ga(
                 int(samples[i]), m, m.unpack(int(pats[i])), GaParams(), int(seeds[i])
             )
+            assert int(batch[i]) == scalar
 
     def test_empty_batch(self):
         out = run_ga_batch(

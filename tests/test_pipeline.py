@@ -1,5 +1,6 @@
 """Embed/extract orchestration: round trips, thresholds, metrics, key files."""
 
+import hashlib
 import math
 import random
 
@@ -26,9 +27,8 @@ from gastego.pipeline import (
     format_key_file,
     parse_key_file,
     snr_db,
-    verify_sample,
 )
-from gastego.wav_io import AudioBuffer
+from gastego.wav_io import AudioBuffer, write_wav
 
 
 def random_cover(rnd, n, bit_depth=16, channels=1, rate=44100):
@@ -50,14 +50,36 @@ class TestCapacityBits:
 
 
 class TestVerifySample:
-    def test_rejects_over_threshold(self):
-        assert verify_sample(47, 63, 10) is False
+    # embed accepts a carrier iff |stego value - cover value| <= threshold.
+    # On a cover of 47s, mask (5,) and an all-ones payload, nearest moves
+    # every carrier to 48: deviation exactly 1.
+    COVER = AudioBuffer([47] * 200, 8, 8000, 1)
+    MESSAGE = bytes([0xFF] * 8)
+
+    def config(self, threshold, mode="nearest", mask=(5,)):
+        return EmbedConfig(
+            mask=LayerMask(mask, 8), key=MasterKey(3), mode=mode, threshold=threshold
+        )
 
     def test_accepts_within_threshold(self):
-        assert verify_sample(47, 48, 10) is True
+        stego, key, report = embed(self.COVER, self.MESSAGE, self.config(1))
+        assert report.samples_skipped == 0
+        assert report.max_deviation == 1
+        assert extract(stego, key) == self.MESSAGE
+
+    def test_rejects_over_threshold(self):
+        with pytest.raises(CapacityExhaustedBySkips, match="placed 0 of 64 .*200 rejections"):
+            embed(self.COVER, self.MESSAGE, self.config(0))
 
     def test_infinite_threshold_accepts_anything(self):
-        assert verify_sample(-32768, 32767, math.inf) is True
+        # plain substitution into layer 8 of 1s moves each carrier by 128
+        cover = AudioBuffer([1] * 200, 8, 8000, 1)
+        stego, key, report = embed(
+            cover, self.MESSAGE, self.config(math.inf, mode="plain", mask=(8,))
+        )
+        assert report.samples_skipped == 0
+        assert report.max_deviation == 128
+        assert extract(stego, key) == self.MESSAGE
 
 
 class TestSnrDb:
@@ -211,6 +233,53 @@ class TestThresholdContract:
         )
         with pytest.raises(CapacityExhaustedBySkips):
             embed(cover, bytes([0xFF] * 2), config)
+
+
+class TestGoldenOutputs:
+    """SHA-256 of the stego WAV bytes and key file text for fixed ga embeds.
+
+    The per-sample GA's draw order is normative, so any engine change must
+    leave these bytes unchanged.
+    """
+
+    CASES = {
+        # name: (bit_depth, layers, threshold, ga params, cover samples,
+        #        message bytes, rejections, wav sha256, key sha256)
+        "8bit_layer4_threshold3": (
+            8, (4,), 3, GaParams(), 1500, 16, 21,
+            "d348f8b20a180a54286e74a4d9541bdc6672e153ac58a3c1a46613f67b80fad5",
+            "9ce92d9cdfcbee78a12474f8f4faefce300909ee054e775a1fa3fb22938322c2",
+        ),
+        "16bit_layers_1_5": (
+            16, (1, 5), math.inf, GaParams(), 2000, 64, 0,
+            "b919b5b8ccea181cc956fc862ed28e06ae1f95f6abd28f0055816cc709e8cc3a",
+            "3911dc88d96623bc8dc89841c3231e046c10956863989060f196bbf93a3472ce",
+        ),
+        "16bit_custom_params": (
+            16, (2, 3, 7), math.inf,
+            GaParams(population_size=9, generations=12, crossover_prob=0.5,
+                     mutation_prob=0.3),
+            2000, 48, 0,
+            "3387e2807faf8863ca533f5b3a44fc54fe194c8c1d36e117d85cfbc1db376d63",
+            "0f316498eeddad9cb3beef9e1fa5882e47f1ad97e0a7030719f7e34a659500fa",
+        ),
+    }
+
+    @pytest.mark.parametrize("name", sorted(CASES))
+    def test_ga_embed_bytes_pinned(self, name):
+        bd, layers, threshold, params, n, mlen, skips, wav_sha, key_sha = self.CASES[name]
+        rnd = random.Random(name)
+        cover = random_cover(rnd, n, bit_depth=bd)
+        msg = bytes(rnd.randrange(256) for _ in range(mlen))
+        config = EmbedConfig(
+            mask=LayerMask(layers, bd), key=MasterKey(rnd.getrandbits(64)),
+            mode="ga", threshold=threshold, ga_params=params,
+        )
+        stego, key, report = embed(cover, msg, config)
+        assert report.samples_skipped == skips
+        assert hashlib.sha256(write_wav(stego)).hexdigest() == wav_sha
+        assert hashlib.sha256(format_key_file(key).encode()).hexdigest() == key_sha
+        assert extract(stego, key) == msg
 
 
 class TestDominance:

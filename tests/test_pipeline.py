@@ -281,6 +281,69 @@ class TestGoldenOutputs:
         assert hashlib.sha256(format_key_file(key).encode()).hexdigest() == key_sha
         assert extract(stego, key) == msg
 
+    THRESHOLD_CASES = {
+        # (name, mode): (bit_depth, layers, threshold, cover samples,
+        #                message bytes, rejections, wav sha256, key sha256)
+        ("8bit_layer4_threshold3", "plain"): (
+            8, (4,), 3, 1500, 16, 115,
+            "696eb1e433af72c70afc731e451c8ddfc449008cc0ce2ef00fcd56a95c8a5427",
+            "2738dd6d02f36b9058d379ddb16658462ee28d94ce8cad9220699b37e192d2c6",
+        ),
+        ("8bit_layer4_threshold3", "nearest"): (
+            8, (4,), 3, 1500, 16, 21,
+            "d348f8b20a180a54286e74a4d9541bdc6672e153ac58a3c1a46613f67b80fad5",
+            "ac7a0752a7eb93a47d6eae20eb0a91ebae692d1b6239b49569cb8914ebbda10d",
+        ),
+        # rejections at consecutive walk positions: 105 such pairs in plain
+        # mode, 3 in nearest mode
+        ("16bit_layers_2_9_threshold100", "plain"): (
+            16, (2, 9), 100, 3000, 64, 226,
+            "be76ba350a8116d9ece067ea9c9ebaa31e18fdc655a17d66d5e27cb925377e66",
+            "7fa055c5a38fd0a2f47a001f51c302f33db16ded71d5c5df61c52e0359b9fa19",
+        ),
+        ("16bit_layers_2_9_threshold100", "nearest"): (
+            16, (2, 9), 100, 3000, 64, 30,
+            "d00f2bca59b408dc4b88931fdbcbe484cfc90f31abd76b215c20a0b352da257e",
+            "3ddf24d6dd551f86f15e8edeaa3ed3c4688c8fe4fa5bd31f5a065b825b856a09",
+        ),
+    }
+
+    @pytest.mark.parametrize("name,mode", sorted(THRESHOLD_CASES))
+    def test_threshold_embed_bytes_pinned(self, name, mode):
+        bd, layers, threshold, n, mlen, skips, wav_sha, key_sha = (
+            self.THRESHOLD_CASES[name, mode]
+        )
+        rnd = random.Random(name)
+        cover = random_cover(rnd, n, bit_depth=bd)
+        msg = bytes(rnd.randrange(256) for _ in range(mlen))
+        config = EmbedConfig(
+            mask=LayerMask(layers, bd), key=MasterKey(rnd.getrandbits(64)),
+            mode=mode, threshold=threshold,
+        )
+        stego, key, report = embed(cover, msg, config)
+        assert report.samples_skipped == skips
+        assert hashlib.sha256(write_wav(stego)).hexdigest() == wav_sha
+        assert hashlib.sha256(format_key_file(key).encode()).hexdigest() == key_sha
+        assert extract(stego, key) == msg
+
+    @pytest.mark.parametrize("mode,placed,rejections", [
+        ("plain", 81, 79), ("nearest", 102, 58), ("ga", 102, 58),
+    ])
+    def test_exhausted_embed_message_pinned(self, mode, placed, rejections):
+        rnd = random.Random("exhausted")
+        cover = random_cover(rnd, 160, bit_depth=8)
+        msg = bytes(rnd.randrange(256) for _ in range(16))
+        config = EmbedConfig(
+            mask=LayerMask((4,), 8), key=MasterKey(rnd.getrandbits(64)),
+            mode=mode, threshold=1,
+        )
+        with pytest.raises(CapacityExhaustedBySkips) as info:
+            embed(cover, msg, config)
+        assert str(info.value) == (
+            f"placed {placed} of 128 groups before running out of samples "
+            f"({rejections} rejections)"
+        )
+
 
 class TestDominance:
     def test_per_sample_and_snr_ordering(self):

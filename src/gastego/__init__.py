@@ -13,7 +13,6 @@ from .bitplane import (
     alter,
     distance,
     oracle_nearest,
-    read_bits,
     sample_raw,
     sample_value,
 )
@@ -96,7 +95,6 @@ __all__ = [
     "parse_wav",
     "permute_indices",
     "profile_message",
-    "read_bits",
     "run_ga",
     "sample_raw",
     "sample_value",

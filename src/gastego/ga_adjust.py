@@ -23,8 +23,12 @@ is SplitMix64(seed). Draws are consumed in this order:
   draw, one cut-point draw (consumed even when no crossover happens), then
   one draw per locus (1..bit_depth) for each of the two offspring.
 
-Early exit when the best fitness reaches 0 stops consuming draws; nothing
-downstream depends on the unread portion of the stream.
+Early exit: a row stops drawing once its best equals the closed-form
+optimum (`bitplane.adjust_nearest_packed`). That value is the unique minimum
+of the (distance, value) sort key and elitism keeps it, so the row's result
+is unchanged; nothing downstream depends on the unread portion of the stream.
+Every live row reads its own stream at the same offset, so retiring one row
+leaves the draws of the others unchanged.
 """
 
 from __future__ import annotations
@@ -34,7 +38,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .bitplane import LayerMask
+from .bitplane import LayerMask, adjust_nearest_packed
 from .keystream import MASK64, _mulhi_small, stream_outputs
 
 
@@ -90,7 +94,8 @@ def run_ga_batch(
     is uint64 of shape (S,). All rows share mask and params, which is exactly
     the embedding pipeline's situation. Each row consumes its own stream in
     the normative draw order of the module docstring, so a row's result does
-    not depend on the other rows in the batch.
+    not depend on the other rows in the batch. Rows retire as soon as their
+    best equals the closed-form optimum, and the live rows are compacted.
     """
     S = len(samples)
     if S == 0:
@@ -110,6 +115,7 @@ def run_ga_batch(
     pattern_bits = np.asarray(pattern_bits, dtype=np.int64)
     seeds = np.asarray(seeds, dtype=np.uint64)
     repaired = (samples & ~mask_bits) | pattern_bits
+    optimum = adjust_nearest_packed(samples, mask, pattern_bits)
 
     pop = np.empty((S, P), dtype=np.int64)
     pop[:, 0] = repaired
@@ -121,31 +127,37 @@ def run_ga_batch(
 
     orig_b = (samples ^ bias)[:, None]
     offset = P - 2  # draws consumed so far, per stream
+    best = np.empty(S, dtype=np.int64)
+    live = np.arange(S)  # batch row of each live row
 
-    def sort_key(values: np.ndarray) -> np.ndarray:
+    def sort_key(values: np.ndarray, orig_b: np.ndarray) -> np.ndarray:
         # fittest first; distance ties go to the smaller sample value
         biased = values ^ bias
         return (np.abs(biased - orig_b) << bd) | biased
 
-    def breed(pop: np.ndarray, key: np.ndarray, first: int) -> np.ndarray:
+    def breed(
+        pop: np.ndarray, key: np.ndarray, seeds: np.ndarray,
+        pattern_bits: np.ndarray, first: int,
+    ) -> np.ndarray:
         """Offspring of one generation from draws first.. of every stream.
 
         A function of its own so that the draw block and the per-pair arrays
         are freed before the next generation draws its block.
         """
+        rows = len(pop)
         block = stream_outputs(seeds, first, pairs * draws_per_pair)
-        block = block.reshape(S, pairs, draws_per_pair)
+        block = block.reshape(rows, pairs, draws_per_pair)
 
         # Two tournaments per pair: candidates (0, 1) pick parent one and
         # (2, 3) parent two; the first candidate wins ties.
-        picks = _mulhi_small(block[:, :, :4], P).astype(np.int64).reshape(S, -1)
-        picked_key = np.take_along_axis(key, picks, axis=1).reshape(S, pairs, 2, 2)
-        picks = picks.reshape(S, pairs, 2, 2)
+        picks = _mulhi_small(block[:, :, :4], P).astype(np.int64).reshape(rows, -1)
+        picked_key = np.take_along_axis(key, picks, axis=1).reshape(rows, pairs, 2, 2)
+        picks = picks.reshape(rows, pairs, 2, 2)
         winners = np.where(
             picked_key[..., 0] <= picked_key[..., 1], picks[..., 0], picks[..., 1]
         )
-        parents = np.take_along_axis(pop, winners.reshape(S, -1), axis=1)
-        parents = parents.reshape(S, pairs, 2)
+        parents = np.take_along_axis(pop, winners.reshape(rows, -1), axis=1)
+        parents = parents.reshape(rows, pairs, 2)
 
         # Single-point crossover: each child keeps its own parent's loci
         # 1..cut and takes the other parent's loci above.
@@ -162,28 +174,36 @@ def run_ga_batch(
         if pm_thr > MASK64:
             flips = np.int64((1 << bd) - 1)
         else:
-            hit = (block[:, :, 6:] < np.uint64(pm_thr)).reshape(S, pairs, 2, bd)
+            hit = (block[:, :, 6:] < np.uint64(pm_thr)).reshape(rows, pairs, 2, bd)
             flips = hit.astype(np.int64) @ locus_weights
         children = ((children ^ flips) & ~mask_bits) | pattern_bits[:, None, None]
 
         # children of pair p sit at 2p and 2p + 1, then truncate to `need`
-        return children.reshape(S, -1)[:, :need]
+        return children.reshape(rows, -1)[:, :need]
 
     for _ in range(params.generations):
-        key = sort_key(pop)
+        key = sort_key(pop, orig_b)
         order = np.argsort(key, axis=1)
         pop = np.take_along_axis(pop, order, axis=1)
         key = np.take_along_axis(key, order, axis=1)
-        # Rows whose best already equals the original cannot improve and the
-        # elite slot pins them, so stopping early is purely an optimization.
-        if not np.abs((pop[:, 0] ^ bias) - orig_b[:, 0]).any():
-            break
-        children = breed(pop, key, offset + 1)
+        # A row whose best is its optimum keeps it to the end (elitism), so
+        # it retires now and the live rows close up.
+        done = pop[:, 0] == optimum
+        if done.any():
+            best[live[done]] = optimum[done]
+            keep = ~done
+            if not keep.any():
+                return best
+            live, pop, key, seeds, pattern_bits, orig_b, optimum = (
+                a[keep] for a in (live, pop, key, seeds, pattern_bits, orig_b, optimum)
+            )
+        children = breed(pop, key, seeds, pattern_bits, offset + 1)
         offset += pairs * draws_per_pair
         pop = np.concatenate([pop[:, :E], children], axis=1)
 
-    best = sort_key(pop).argmin(axis=1)[:, None]
-    return np.take_along_axis(pop, best, axis=1)[:, 0]
+    fittest = sort_key(pop, orig_b).argmin(axis=1)[:, None]
+    best[live] = np.take_along_axis(pop, fittest, axis=1)[:, 0]
+    return best
 
 
 def _prob_threshold(prob: float) -> int:

@@ -7,6 +7,17 @@ against the distortion threshold: accepted samples enter the output, rejected
 ones stay original and the same bits retry at the next position. Extraction
 replays the same walk, skipping the recorded rejections.
 
+The engine runs over windows of the walk. The first window is the whole
+payload, so an embed without rejections makes one engine call. After a
+rejection the next window holds max(8, 2 x the run of carriers just
+accepted), and it doubles after each fully accepted window, so engine work
+stays linear in the payload plus the rejections. In `ga` mode with a finite
+threshold a window is cut before the first carrier whose closed-form optimum
+already exceeds the threshold: the GA cannot beat that optimum, so the
+carrier is rejected without running the GA. Every carrier's engine result
+depends on that carrier alone, so windows change the work done, never the
+output.
+
 The stego key file is the only thing an extractor needs besides the stego
 audio. Its format is fixed: UTF-8 text, one "name = value" per line, the
 twelve fields below in any order, nothing else.
@@ -186,36 +197,52 @@ def embed(
     perm = permute_indices(n, config.key)
     engine = _make_engine(config, raw)
 
+    def deviations(modified, idxs):
+        return np.abs(_values_of(modified, cover.bit_depth) - values[idxs])
+
     skipped: list[int] = []
     max_dev = 0
     pos = 0  # cursor into the permuted walk
     g = 0  # next unplaced payload group
+    window = m  # the first window is the whole payload
     while g < m:
         if pos >= n:
             raise CapacityExhaustedBySkips(
                 f"placed {g} of {m} groups before running out of samples "
                 f"({len(skipped)} rejections)"
             )
-        window = min(m - g, n - pos)
-        idxs = np.asarray(perm[pos : pos + window])
-        modified = engine(idxs, groups[g : g + window])
-        devs = np.abs(
-            _values_of(modified, cover.bit_depth) - values[idxs]
-        )
-        rejected = np.flatnonzero(devs > config.threshold)
-        accept_upto = int(rejected[0]) if len(rejected) else window
-        if accept_upto:
-            take = idxs[:accept_upto]
-            stego_raw[take] = modified[:accept_upto]
-            max_dev = max(max_dev, int(devs[:accept_upto].max()))
-        g += accept_upto
-        if accept_upto < window:
+        width = min(window, m - g, n - pos)
+        idxs = np.asarray(perm[pos : pos + width])
+        pats = groups[g : g + width]
+        run = width
+        if config.mode == "ga" and not math.isinf(config.threshold):
+            # the GA never beats the closed-form optimum, so a carrier whose
+            # optimum exceeds the threshold is rejected without running it
+            optimum = bitplane.adjust_nearest_packed(raw[idxs], mask, pats)
+            over = np.flatnonzero(deviations(optimum, idxs) > config.threshold)
+            if len(over):
+                run = int(over[0])
+        accepted = run
+        if run:
+            modified = engine(idxs[:run], pats[:run])
+            devs = deviations(modified, idxs[:run])
+            rejected = np.flatnonzero(devs > config.threshold)
+            if len(rejected):
+                accepted = int(rejected[0])
+            if accepted:
+                stego_raw[idxs[:accepted]] = modified[:accepted]
+                max_dev = max(max_dev, int(devs[:accepted].max()))
+        g += accepted
+        if accepted < width:
             # the sample at the first rejection stays original; its bits
-            # retry at the next position in the walk
-            skipped.append(int(idxs[accept_upto]))
-            pos += accept_upto + 1
+            # retry at the next position in the walk, in a window sized by
+            # the run just accepted
+            skipped.append(int(idxs[accepted]))
+            pos += accepted + 1
+            window = max(8, 2 * accepted)
         else:
-            pos += window
+            pos += width
+            window = 2 * width
 
     stego = AudioBuffer(
         _values_of(stego_raw, cover.bit_depth).tolist(),
@@ -313,13 +340,7 @@ def _make_engine(config: EmbedConfig, raw: np.ndarray):
     elif config.mode == "nearest":
 
         def engine(idxs, pats):
-            return np.array(
-                [
-                    bitplane.adjust_nearest_packed(int(s), mask, int(p))
-                    for s, p in zip(raw[idxs], pats)
-                ],
-                dtype=np.int64,
-            )
+            return bitplane.adjust_nearest_packed(raw[idxs], mask, pats)
 
     else:  # ga
 

@@ -11,11 +11,11 @@ from hypothesis import strategies as st
 from gastego.bitplane import (
     LayerMask,
     adjust_nearest,
+    adjust_nearest_packed,
     alter,
     distance,
     oracle_nearest,
     oracle_nearest_bulk,
-    read_bits,
     sample_raw,
     sample_value,
 )
@@ -70,11 +70,11 @@ class TestValueConventions:
 
 class TestReadBits:
     def test_layer5_of_47(self):
-        assert read_bits(47, LayerMask((5,), 8)) == (0,)
+        assert LayerMask((5,), 8).unpack(47) == (0,)
 
     def test_zero_sample_reads_zero(self):
         for layers in ((1,), (3, 7), (1, 8)):
-            assert read_bits(0, LayerMask(layers, 8)) == (0,) * len(layers)
+            assert LayerMask(layers, 8).unpack(0) == (0,) * len(layers)
 
     def test_roundtrip_with_alter_exhaustive_small(self):
         for k in (1, 2):
@@ -82,7 +82,7 @@ class TestReadBits:
                 m = LayerMask(layers, 8)
                 for pattern in product((0, 1), repeat=k):
                     for s in range(256):
-                        assert read_bits(alter(s, m, pattern), m) == pattern
+                        assert m.unpack(alter(s, m, pattern)) == pattern
 
 
 class TestAlter:
@@ -100,7 +100,7 @@ class TestAlter:
     @settings(max_examples=100)
     def test_identity_when_bits_match(self, s):
         m = LayerMask((2, 6), 8)
-        assert alter(s, m, read_bits(s, m)) == s
+        assert alter(s, m, m.unpack(s)) == s
 
 
 class TestAdjustNearest:
@@ -113,7 +113,7 @@ class TestAdjustNearest:
     def test_identity_when_bits_match(self):
         m = LayerMask((3,), 8)
         for s in range(256):
-            assert adjust_nearest(s, m, read_bits(s, m)) == s
+            assert adjust_nearest(s, m, m.unpack(s)) == s
 
     def test_tie_breaks_to_smaller_value(self):
         # 7 and 9 are both distance 1 from 8 with an odd LSB
@@ -144,7 +144,7 @@ class TestAdjustNearest:
             bd = rnd.choice((8, 16))
             mask, s, pattern = random_case(rnd, bd)
             adjusted = adjust_nearest(s, mask, pattern)
-            assert read_bits(adjusted, mask) == pattern
+            assert mask.unpack(adjusted) == pattern
             assert distance(adjusted, s, bd) <= distance(alter(s, mask, pattern), s, bd)
 
 
@@ -187,3 +187,47 @@ class TestOracleAgreement:
     def test_determinism(self):
         m = LayerMask((2, 7), 16)
         assert adjust_nearest(30000, m, (1, 0)) == adjust_nearest(30000, m, (1, 0))
+
+
+class TestArrayNearest:
+    """One adjust_nearest_packed call over many rows equals oracle_nearest per row."""
+
+    def test_exhaustive_8bit_up_to_three_layers(self):
+        checked = 0
+        for k in (1, 2, 3):
+            for layers in combinations(range(1, 9), k):
+                m = LayerMask(layers, 8)
+                patterns = list(product((0, 1), repeat=k))
+                samples = np.tile(np.arange(256, dtype=np.int64), len(patterns))
+                pats = np.repeat([m.pack(p) for p in patterns], 256)
+                got = adjust_nearest_packed(samples, m, pats)
+                assert got.shape == samples.shape
+                for i, s in enumerate(samples.tolist()):
+                    pattern = patterns[i // 256]
+                    assert got[i] == oracle_nearest(s, m, pattern), (s, layers, pattern)
+                    checked += 1
+        assert checked == 256 * (8 * 2 + 28 * 4 + 56 * 8)
+
+    @pytest.mark.parametrize("layers", [
+        (1,), (16,), (1, 16), (3, 9, 14), (2, 5, 11, 15), tuple(range(1, 17)),
+    ])
+    def test_random_16bit_rows(self, layers):
+        rnd = random.Random(repr(layers))
+        m = LayerMask(layers, 16)
+        # the sign boundary and the ends of the range, then random samples
+        edges = [0x7FFE, 0x7FFF, 0x8000, 0x8001, 0xFFFF, 0, 1]
+        samples = edges + [rnd.randrange(1 << 16) for _ in range(33)]
+        pats = [m.pack(tuple(rnd.randint(0, 1) for _ in range(m.k))) for _ in samples]
+        # every fourth row already carries its pattern
+        pats[::4] = [s & m.bits for s in samples[::4]]
+        got = adjust_nearest_packed(
+            np.array(samples, dtype=np.int64), m, np.array(pats, dtype=np.int64)
+        )
+        for s, p, value in zip(samples, pats, got.tolist()):
+            assert value == oracle_nearest(s, m, m.unpack(p)), (s, layers, p)
+        assert (got[::4] == samples[::4]).all()
+
+    def test_scalar_arguments_give_an_int(self):
+        m = LayerMask((4, 5), 8)
+        got = adjust_nearest_packed(39, m, m.pack((1, 1)))
+        assert type(got) is int and got == 31

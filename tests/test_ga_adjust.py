@@ -11,9 +11,9 @@ from gastego.bitplane import (
     alter,
     distance,
     oracle_nearest,
-    read_bits,
     sample_value,
 )
+from gastego import ga_adjust
 from gastego.ga_adjust import GaParams, run_ga, run_ga_batch
 from gastego.keystream import SplitMix64
 
@@ -137,7 +137,7 @@ class TestChromosomeAndFitness:
         m = LayerMask((5,), 8)
         value = repair(47, m, m.pack((1,)))
         assert value == 63
-        assert read_bits(value, m) == (1,)
+        assert m.unpack(value) == (1,)
 
     def test_fitness_worked_examples(self):
         m5 = LayerMask((5,), 8)
@@ -171,7 +171,7 @@ class TestCrossover:
             b = repair(rnd.randrange(1 << bd), m, m.pack(pattern))
             cut = rnd.randint(1, bd - 1)
             for child in crossover_ints(a, b, cut):
-                assert read_bits(child, m) == pattern
+                assert m.unpack(child) == pattern
 
 
 class TestMutate:
@@ -217,7 +217,7 @@ class TestRunGa:
             k = rnd.randint(1, 2)
             m = LayerMask(tuple(rnd.sample(range(1, bd + 1), k)), bd)
             s = rnd.randrange(1 << bd)
-            assert run_ga(s, m, read_bits(s, m), GaParams(), rnd.getrandbits(64)) == s
+            assert run_ga(s, m, m.unpack(s), GaParams(), rnd.getrandbits(64)) == s
 
     def test_deterministic(self):
         m = LayerMask((3, 6), 16)
@@ -235,7 +235,7 @@ class TestRunGa:
             s = rnd.randrange(256)
             pattern = tuple(rnd.randint(0, 1) for _ in range(k))
             got = run_ga(s, m, pattern, GaParams(), rnd.getrandbits(64))
-            assert read_bits(got, m) == pattern
+            assert m.unpack(got) == pattern
             d = distance(got, s, 8)
             assert d <= distance(alter(s, m, pattern), s, 8)
             optimal += d == distance(oracle_nearest(s, m, pattern), s, 8)
@@ -254,7 +254,7 @@ class TestRunGa:
     def test_small_population_edge(self):
         # population 2 leaves no room for random members
         got = run_ga(47, LayerMask((5,), 8), (1,), GaParams(population_size=2), 1)
-        assert read_bits(got, LayerMask((5,), 8)) == (1,)
+        assert LayerMask((5,), 8).unpack(got) == (1,)
 
 
 class TestBatchEquivalence:
@@ -303,6 +303,33 @@ class TestBatchEquivalence:
         for i in range(S):
             scalar, _history = reference_run_ga(
                 int(samples[i]), m, m.unpack(int(pats[i])), GaParams(), int(seeds[i])
+            )
+            assert int(batch[i]) == scalar
+
+    def test_rows_stop_drawing_at_their_optimum(self, monkeypatch):
+        # on layer 5 of 8-bit samples most rows reach the closed-form optimum
+        # within a few generations; a retired row draws nothing more
+        rnd = random.Random(11)
+        m = LayerMask((5,), 8)
+        params = GaParams()
+        S = 120
+        samples = np.array([rnd.randrange(256) for _ in range(S)], dtype=np.int64)
+        pats = np.array([m.pack((rnd.randint(0, 1),)) for _ in range(S)], dtype=np.int64)
+        seeds = np.array([rnd.getrandbits(64) for _ in range(S)], dtype=np.uint64)
+        rows_drawn = []
+        real = ga_adjust.stream_outputs
+
+        def counting(seeds, first, count):
+            if first != 1:  # draw 1 starts the population, not a generation
+                rows_drawn.append(len(seeds))
+            return real(seeds, first, count)
+
+        monkeypatch.setattr(ga_adjust, "stream_outputs", counting)
+        batch = run_ga_batch(samples, pats, m, params, seeds)
+        assert sum(rows_drawn) < S * params.generations // 4
+        for i in range(S):
+            scalar, _history = reference_run_ga(
+                int(samples[i]), m, m.unpack(int(pats[i])), params, int(seeds[i])
             )
             assert int(batch[i]) == scalar
 

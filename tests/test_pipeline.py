@@ -4,9 +4,11 @@ import hashlib
 import math
 import random
 
+import numpy as np
 import pytest
 
-from gastego.bitplane import LayerMask, read_bits
+from gastego import pipeline
+from gastego.bitplane import LayerMask, adjust_nearest_packed
 from gastego.errors import (
     BitDepthMismatch,
     CapacityExhaustedBySkips,
@@ -17,7 +19,7 @@ from gastego.errors import (
     SnrNotDefined,
 )
 from gastego.ga_adjust import GaParams
-from gastego.keystream import MasterKey
+from gastego.keystream import MasterKey, derive_seed, permute_indices
 from gastego.pipeline import (
     EmbedConfig,
     StegoKey,
@@ -233,6 +235,49 @@ class TestThresholdContract:
         )
         with pytest.raises(CapacityExhaustedBySkips):
             embed(cover, bytes([0xFF] * 2), config)
+
+
+class TestEmbedCost:
+    """Engine rows of a threshold embed grow with the payload plus the
+    rejections, never with their product."""
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_ga_rows_bounded_and_none_past_a_hopeless_carrier(self, seed, monkeypatch):
+        rnd = random.Random(seed)
+        n = 20_000
+        cover = random_cover(rnd, n, bit_depth=8)
+        msg = bytes(rnd.randrange(256) for _ in range(32))
+        mask = LayerMask((4,), 8)
+        master = MasterKey(rnd.getrandbits(64))
+        threshold = 3
+        batches = []
+        real = pipeline.run_ga_batch
+
+        def counting(samples, pattern_bits, mask, params, seeds):
+            batches.append((samples.copy(), pattern_bits.copy(), seeds.copy()))
+            return real(samples, pattern_bits, mask, params, seeds)
+
+        monkeypatch.setattr(pipeline, "run_ga_batch", counting)
+        stego, key, report = embed(
+            cover, msg,
+            EmbedConfig(mask=mask, key=master, mode="ga", threshold=threshold),
+        )
+        assert extract(stego, key) == msg
+        groups, rejections = report.samples_used, report.samples_skipped
+        assert rejections > 0
+        rows = sum(len(samples) for samples, _, _ in batches)
+        assert rows <= 4 * groups + 8 * rejections
+
+        # Each batch is a run of consecutive walk positions in which every
+        # carrier's optimum is within the threshold, so the GA never gets a
+        # carrier at or past one it cannot place.
+        walk_pos = {i: p for p, i in enumerate(permute_indices(n, master))}
+        seed_of = {derive_seed(master, "ga", i): i for i in range(n)}
+        for samples, pats, seeds in batches:
+            positions = [walk_pos[seed_of[int(s)]] for s in seeds]
+            assert positions == list(range(positions[0], positions[0] + len(seeds)))
+            best = adjust_nearest_packed(samples, mask, pats)
+            assert np.abs(best - samples).max() <= threshold  # 8-bit: raw is value
 
 
 class TestGoldenOutputs:

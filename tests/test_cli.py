@@ -206,6 +206,30 @@ class TestOracleCheck:
         assert "nearest 16-bit: 2000/2000 (100.00% match)" in out
         assert "never worse than plain: True" in out
 
+    @pytest.mark.parametrize("bit_depth", ["8", "16"])
+    def test_samples_zero_stdout_pinned(self, bit_depth, capsys):
+        assert main(["oracle-check", "--samples", "0", "--bit-depth", bit_depth]) == 0
+        assert capsys.readouterr().out == (
+            "nearest 8-bit: 32768/32768 (100.00% match)\n"
+            "nearest 16-bit: 2000/2000 (100.00% match)\n"
+            "ga: skipped (--samples 0)\n"
+        )
+
+    @pytest.mark.parametrize("bit_depth, code, ga_line", [
+        ("8", 0, "ga 8-bit: 20/20 optimal (100.00%), never worse than plain: True"),
+        ("16", 4, "ga 16-bit: 19/20 optimal (95.00%), never worse than plain: True"),
+    ])
+    def test_ga_section_stdout_pinned(self, bit_depth, code, ga_line, capsys):
+        # the GA cases are drawn from the generator after the 16-bit sweep, so
+        # this line also pins the sweep's draw order
+        argv = ["oracle-check", "--samples", "20", "--bit-depth", bit_depth, "--seed", "3"]
+        assert main(argv) == code
+        assert capsys.readouterr().out == (
+            "nearest 8-bit: 32768/32768 (100.00% match)\n"
+            "nearest 16-bit: 2000/2000 (100.00% match)\n"
+            f"{ga_line}\n"
+        )
+
     def test_samples_zero_skips_ga_section(self, capsys):
         assert main(["oracle-check", "--samples", "0"]) == 0
         assert "ga: skipped" in capsys.readouterr().out

@@ -429,8 +429,28 @@ class TestExtractErrors:
             cover, msg, EmbedConfig(mask=LayerMask((1,), 16), key=MasterKey(1))
         )
         short = AudioBuffer(stego.samples[:100], 16, stego.sample_rate, 1)
-        with pytest.raises(KeyMismatch):
+        with pytest.raises(KeyMismatch) as info:
             extract(short, key)
+        assert str(info.value) == (
+            "key declares 60 payload bytes but the stego buffer yields only "
+            "100 usable samples of 480"
+        )
+
+    def test_key_mismatch_text_counts_skipped_samples(self):
+        rnd = random.Random(11)
+        cover = random_cover(rnd, 3000)
+        config = EmbedConfig(
+            mask=LayerMask((5,), 16), key=MasterKey(3), mode="plain", threshold=8
+        )
+        stego, key, _ = embed(cover, bytes(range(40)), config)
+        assert len(key.skipped_indices) == 356
+        short = AudioBuffer(stego.samples[:300], 16, stego.sample_rate, 1)
+        with pytest.raises(KeyMismatch) as info:
+            extract(short, key)
+        assert str(info.value) == (
+            "key declares 40 payload bytes but the stego buffer yields only "
+            "264 usable samples of 320"
+        )
 
     def test_bit_depth_mismatch(self):
         key = StegoKey(

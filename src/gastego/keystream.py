@@ -28,6 +28,7 @@ anyone who knows the seed recovers the message by design.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -107,23 +108,67 @@ def derive_seed(key: MasterKey, purpose: str, index: int) -> int:
     return mix64(h ^ (index & MASK64))
 
 
-def permute_indices(n: int, key: MasterKey) -> list[int]:
-    """Keyed Fisher-Yates permutation of range(n).
+def permute_indices(n: int, key: MasterKey, count: int | None = None) -> list[int]:
+    """The first `count` entries (all when None) of the keyed Fisher-Yates
+    permutation of range(n).
 
-    Walk i = n-1 .. 1, swap position i with position next_below(i+1). The
-    stream is seeded from derive_seed(key, "permute", 0).
+    The normative walk is the full shuffle: i = n-1 .. 1, swap position i
+    with position next_below(i+1), the stream seeded from
+    derive_seed(key, "permute", 0). Only the requested prefix is resolved,
+    which changes no output: no step after step p touches position p, and
+    what the steps before the prefix leave in it follows from the draws
+    alone. Cost is O(n) vectorized plus O(count) Python.
     """
-    out = list(range(n))
+    size = n if count is None else max(0, min(count, n))
     if n < 2:
-        return out
-    # Draws are precomputed in bulk; the closed-form stream makes this
-    # identical to stepping a SplitMix64 and calling next_below(i + 1).
-    draws = stream_outputs(derive_seed(key, "permute", 0), 1, n - 1)
-    bounds = np.arange(n, 1, -1, dtype=np.uint64)
-    js = _mulhi_small(draws, bounds).tolist()
-    for i, j in zip(range(n - 1, 0, -1), js):
+        return list(range(size))
+    draw, nxt = _walk_draws(n, key)
+    # state of positions 0..size-1 after steps n-1 .. size: position p holds
+    # pre(i) for the smallest step i >= size that drew p, else p itself
+    hits = np.flatnonzero(draw[size:] < size) + size
+    last = np.full(size, n, dtype=draw.dtype)
+    np.minimum.at(last, draw[hits], hits)
+    moved = np.flatnonzero(last < n)
+    # pre(i), the value at position i just before step i, is where the chain
+    # i, nxt[i], nxt[nxt[i]], ... ends: each link is the step that last wrote i
+    ends = last[moved]
+    active = np.arange(len(ends))
+    while len(active):
+        step = nxt[ends[active]]
+        going = step < n
+        active = active[going]
+        ends[active] = step[going]
+    out = np.arange(size, dtype=draw.dtype)
+    out[moved] = ends
+    out = out.tolist()
+    js = draw[:size].tolist()
+    for i in range(size - 1, 0, -1):
+        j = js[i]
         out[i], out[j] = out[j], out[i]
     return out
+
+
+@functools.lru_cache(maxsize=1)
+def _walk_draws(n: int, key: MasterKey) -> tuple[np.ndarray, np.ndarray]:
+    """The walk's draws, draw[i] = step i's next_below(i+1) (draw[0] = 0), and
+    nxt[t], the smallest step i > t with draw[i] == t (n if none).
+
+    Cached for the latest walk, so a caller that extends its prefix in steps
+    builds them once. Both arrays are read-only.
+    """
+    dtype = np.int32 if n < 2**31 else np.int64
+    # draws are precomputed in bulk; the closed-form stream makes this
+    # identical to stepping a SplitMix64 and calling next_below(i + 1)
+    outputs = stream_outputs(derive_seed(key, "permute", 0), 1, n - 1)
+    draw = np.zeros(n, dtype=dtype)
+    draw[:0:-1] = _mulhi_small(outputs, np.arange(n, 1, -1, dtype=np.uint64))
+    del outputs
+    swaps = np.flatnonzero(draw != np.arange(n, dtype=dtype)).astype(dtype)
+    nxt = np.full(n, n, dtype=dtype)
+    np.minimum.at(nxt, draw[swaps], swaps)
+    draw.flags.writeable = False
+    nxt.flags.writeable = False
+    return draw, nxt
 
 
 def xor_keystream(data: bytes, key: MasterKey) -> bytes:
@@ -141,9 +186,13 @@ def xor_keystream(data: bytes, key: MasterKey) -> bytes:
 
 
 def _scramble(z: np.ndarray) -> np.ndarray:
-    z = (z ^ (z >> np.uint64(30))) * np.uint64(_MIX1)
-    z = (z ^ (z >> np.uint64(27))) * np.uint64(_MIX2)
-    return z ^ (z >> np.uint64(31))
+    """The SplitMix64 output function, applied in place to z."""
+    z ^= z >> np.uint64(30)
+    z *= np.uint64(_MIX1)
+    z ^= z >> np.uint64(27)
+    z *= np.uint64(_MIX2)
+    z ^= z >> np.uint64(31)
+    return z
 
 
 def stream_outputs(seed: int | np.ndarray, first: int, count: int) -> np.ndarray:
@@ -152,16 +201,26 @@ def stream_outputs(seed: int | np.ndarray, first: int, count: int) -> np.ndarray
     `seed` may be a scalar or a uint64 array of shape (S,); the result is
     (count,) or (S, count) respectively.
     """
-    ts = np.arange(first, first + count, dtype=np.uint64) * np.uint64(GAMMA)
+    ts = np.arange(first, first + count, dtype=np.uint64)
+    ts *= np.uint64(GAMMA)
     seeds = np.asarray(seed, dtype=np.uint64)
     if seeds.ndim == 0:
-        return _scramble(seeds + ts)
+        ts += seeds
+        return _scramble(ts)
     return _scramble(seeds[:, None] + ts[None, :])
 
 
 def _mulhi_small(u: np.ndarray, n: np.ndarray | int) -> np.ndarray:
-    """floor(u * n / 2**64) for uint64 u and n < 2**32, without 128-bit ints."""
+    """floor(u * n / 2**64) for uint64 u and n < 2**32, without 128-bit ints.
+
+    n is a scalar or has u's shape.
+    """
     n = np.asarray(n, dtype=np.uint64)
-    lo = (u & np.uint64(0xFFFFFFFF)) * n
-    hi = (u >> np.uint64(32)) * n
-    return (hi + (lo >> np.uint64(32))) >> np.uint64(32)
+    lo = u & np.uint64(0xFFFFFFFF)
+    lo *= n
+    lo >>= np.uint64(32)
+    hi = u >> np.uint64(32)
+    hi *= n
+    hi += lo
+    hi >>= np.uint64(32)
+    return hi

@@ -5,7 +5,10 @@ visited sample is altered to carry the next payload bits, re-shaped by the
 configured engine to sit as close as possible to the original, then verified
 against the distortion threshold: accepted samples enter the output, rejected
 ones stay original and the same bits retry at the next position. Extraction
-replays the same walk, skipping the recorded rejections.
+replays the same walk, skipping the recorded rejections. The walk is the
+full keyed Fisher-Yates shuffle of the README; both sides resolve only the
+prefix they read (embed m positions plus one per rejection, extract
+m + len(skipped)), which changes no output byte.
 
 The engine runs over windows of the walk. The first window is the whole
 payload, so an embed without rejections makes one engine call. After a
@@ -194,7 +197,7 @@ def embed(
     values = np.asarray(cover.samples, dtype=np.int64)
     raw = values & ((1 << cover.bit_depth) - 1)
     stego_raw = raw.copy()
-    perm = permute_indices(n, config.key)
+    perm: list[int] = []  # the resolved prefix of the walk
     engine = _make_engine(config, raw)
 
     def deviations(modified, idxs):
@@ -212,6 +215,10 @@ def embed(
                 f"({len(skipped)} rejections)"
             )
         width = min(window, m - g, n - pos)
+        if pos + width > len(perm):
+            # the first window, or rejections ran the walk past its resolved
+            # prefix: resolve at least twice as much
+            perm = permute_indices(n, config.key, max(pos + width, 2 * len(perm)))
         idxs = np.asarray(perm[pos : pos + width])
         pats = groups[g : g + width]
         run = width
@@ -280,21 +287,19 @@ def extract(stego: AudioBuffer, key: StegoKey) -> bytes:
     n = len(stego.samples)
     k = key.mask.k
     m = -(-8 * key.payload_len_bytes // k)  # groups, padded like embed
-    perm = permute_indices(n, key.key)
-    skip = set(key.skipped_indices)
-    used: list[int] = []
-    for i in perm:
-        if i not in skip:
-            used.append(i)
-            if len(used) == m:
-                break
+    # at most len(skipped) of the first m + len(skipped) walk positions are
+    # skipped, so that prefix holds every sample the payload used
+    skipped = np.asarray(key.skipped_indices, dtype=np.int64)
+    perm = np.asarray(permute_indices(n, key.key, m + len(skipped)), dtype=np.int64)
+    used = perm[~np.isin(perm, skipped)][:m]
     if len(used) < m:
         raise KeyMismatch(
             f"key declares {key.payload_len_bytes} payload bytes but the "
             f"stego buffer yields only {len(used)} usable samples of {m}"
         )
+    samples = stego.samples
     raw = (
-        np.asarray(stego.samples, dtype=np.int64)[used]
+        np.array([samples[i] for i in used.tolist()], dtype=np.int64)
         & ((1 << stego.bit_depth) - 1)
     )
     shifts = np.array([layer - 1 for layer in key.mask.layers], dtype=np.int64)

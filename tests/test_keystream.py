@@ -33,6 +33,19 @@ def reference_splitmix64(seed):
         yield z ^ (z >> 31)
 
 
+def reference_permute_indices(n, key):
+    """The full Fisher-Yates walk, one Python swap per step: the reference
+    that permute_indices' prefix resolution must reproduce."""
+    out = list(range(n))
+    if n < 2:
+        return out
+    draws = stream_outputs(derive_seed(key, "permute", 0), 1, n - 1)
+    js = _mulhi_small(draws, np.arange(n, 1, -1, dtype=np.uint64)).tolist()
+    for i, j in zip(range(n - 1, 0, -1), js):
+        out[i], out[j] = out[j], out[i]
+    return out
+
+
 class TestSplitMix64:
     def test_published_vectors_seed_zero(self):
         rng = SplitMix64(0)
@@ -161,6 +174,22 @@ class TestPermuteIndices:
                 j = rng.next_below(i + 1)
                 out[i], out[j] = out[j], out[i]
             assert permute_indices(n, key) == out
+
+    @pytest.mark.parametrize("n", [0, 1, 2, 3, 17, 1000, 100_000])
+    def test_prefix_matches_reference_walk(self, n):
+        rnd = random.Random(n)
+        for _ in range(3 if n == 100_000 else 20):
+            key = MasterKey(rnd.getrandbits(64))
+            full = reference_permute_indices(n, key)
+            assert permute_indices(n, key) == full
+            for count in {0, 1, 2, max(n - 1, 0), n, n + 5}:
+                assert permute_indices(n, key, count) == full[:count]
+
+    @given(st.integers(0, 400), st.integers(0, MASK64), st.integers(0, 410))
+    @settings(max_examples=200)
+    def test_prefix_property(self, n, seed, count):
+        key = MasterKey(seed)
+        assert permute_indices(n, key, count) == reference_permute_indices(n, key)[:count]
 
     def test_same_key_same_permutation(self):
         assert permute_indices(1000, MasterKey(5)) == permute_indices(1000, MasterKey(5))

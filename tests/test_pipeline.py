@@ -280,6 +280,54 @@ class TestEmbedCost:
             assert np.abs(best - samples).max() <= threshold  # 8-bit: raw is value
 
 
+class TestWalkCost:
+    """embed and extract resolve only the prefix of the walk they read."""
+
+    @staticmethod
+    def record_requests(monkeypatch):
+        requests = []
+        real = pipeline.permute_indices
+
+        def recording(n, key, count=None):
+            requests.append(count)
+            return real(n, key, count)
+
+        monkeypatch.setattr(pipeline, "permute_indices", recording)
+        return requests
+
+    @pytest.mark.parametrize("mode", ["plain", "nearest", "ga"])
+    def test_threshold_embed_and_extract_requests(self, mode, monkeypatch):
+        rnd = random.Random(12)
+        n = 20_000
+        cover = random_cover(rnd, n, bit_depth=8)
+        msg = bytes(rnd.randrange(256) for _ in range(32))
+        config = EmbedConfig(
+            mask=LayerMask((4,), 8), key=MasterKey(13), mode=mode, threshold=3
+        )
+        requests = self.record_requests(monkeypatch)
+        stego, key, report = embed(cover, msg, config)
+        m, rejections = report.samples_used, report.samples_skipped
+        assert rejections > 0
+        # each call resolves a prefix from the walk's start, and each one at
+        # least doubles the last, so the work is at most twice the largest
+        assert None not in requests
+        assert all(b >= 2 * a for a, b in zip(requests, requests[1:]))
+        assert max(requests) <= min(n, 2 * (m + rejections) + 8)
+
+        requests.clear()
+        assert extract(stego, key) == msg
+        assert requests == [m + len(key.skipped_indices)]
+
+    def test_embed_without_rejections_makes_one_request(self, monkeypatch):
+        rnd = random.Random(14)
+        cover = random_cover(rnd, 50_000)
+        requests = self.record_requests(monkeypatch)
+        _, key, report = embed(
+            cover, bytes(64), EmbedConfig(mask=LayerMask((1, 2), 16), key=MasterKey(15))
+        )
+        assert requests == [report.samples_used] == [256]
+
+
 class TestGoldenOutputs:
     """SHA-256 of the stego WAV bytes and key file text for fixed ga embeds.
 

@@ -27,6 +27,7 @@ from .errors import (
     InsufficientCapacity,
     KeyMismatch,
     KeyParseError,
+    OversizeOutput,
     StegoError,
     UnreachableOptimum,
 )
@@ -40,6 +41,7 @@ _CONFIG_ERRORS = (
     BitDepthMismatch,
     UnreachableOptimum,
     EmptyMessage,
+    OversizeOutput,
     ValueError,
 )
 

@@ -17,6 +17,10 @@ class TruncatedData(StegoError):
     """The data chunk declares more bytes than the file contains."""
 
 
+class OversizeOutput(StegoError):
+    """The audio is too large for the 32-bit size fields of a RIFF/WAVE file."""
+
+
 class EmptyMessage(StegoError):
     """An operation that needs message content received zero bytes."""
 

@@ -157,12 +157,12 @@ def snr_db(original: AudioBuffer, stego: AudioBuffer) -> float:
         or original.channels != stego.channels
     ):
         raise LengthMismatch("buffers differ in length, bit depth, or channels")
-    a = np.asarray(original.samples, dtype=np.int64)
-    b = np.asarray(stego.samples, dtype=np.int64)
-    noise = int(((a - b) ** 2).sum())
+    a = original.samples
+    d = a - stego.samples
+    noise = int(d @ d)  # integer dot products: the sums are exact
     if noise == 0:
         return math.inf
-    signal = int((a**2).sum())
+    signal = int(a @ a)
     if signal == 0:
         raise SnrNotDefined("original signal has zero energy but noise is present")
     return 10.0 * math.log10(signal / noise)
@@ -194,14 +194,15 @@ def embed(
             f"{len(message)} message bytes need {m} samples, cover has {n}"
         )
 
-    values = np.asarray(cover.samples, dtype=np.int64)
-    raw = values & ((1 << cover.bit_depth) - 1)
-    stego_raw = raw.copy()
+    bit_depth = cover.bit_depth
+    values = cover.samples
+    stego_values = values.copy()  # accepted carriers are scattered into it
     perm: list[int] = []  # the resolved prefix of the walk
-    engine = _make_engine(config, raw)
 
-    def deviations(modified, idxs):
-        return np.abs(_values_of(modified, cover.bit_depth) - values[idxs])
+    def raw_at(idxs):
+        return values[idxs] & ((1 << bit_depth) - 1)
+
+    engine = _make_engine(config, raw_at)
 
     skipped: list[int] = []
     max_dev = 0
@@ -225,19 +226,20 @@ def embed(
         if config.mode == "ga" and not math.isinf(config.threshold):
             # the GA never beats the closed-form optimum, so a carrier whose
             # optimum exceeds the threshold is rejected without running it
-            optimum = bitplane.adjust_nearest_packed(raw[idxs], mask, pats)
-            over = np.flatnonzero(deviations(optimum, idxs) > config.threshold)
+            optimum = bitplane.adjust_nearest_packed(raw_at(idxs), mask, pats)
+            devs = np.abs(_values_of(optimum, bit_depth) - values[idxs])
+            over = np.flatnonzero(devs > config.threshold)
             if len(over):
                 run = int(over[0])
         accepted = run
         if run:
-            modified = engine(idxs[:run], pats[:run])
-            devs = deviations(modified, idxs[:run])
+            modified = _values_of(engine(idxs[:run], pats[:run]), bit_depth)
+            devs = np.abs(modified - values[idxs[:run]])
             rejected = np.flatnonzero(devs > config.threshold)
             if len(rejected):
                 accepted = int(rejected[0])
             if accepted:
-                stego_raw[idxs[:accepted]] = modified[:accepted]
+                stego_values[idxs[:accepted]] = modified[:accepted]
                 max_dev = max(max_dev, int(devs[:accepted].max()))
         g += accepted
         if accepted < width:
@@ -251,12 +253,7 @@ def embed(
             pos += width
             window = 2 * width
 
-    stego = AudioBuffer(
-        _values_of(stego_raw, cover.bit_depth).tolist(),
-        cover.bit_depth,
-        cover.sample_rate,
-        cover.channels,
-    )
+    stego = AudioBuffer(stego_values, bit_depth, cover.sample_rate, cover.channels)
     key = StegoKey(
         key=config.key,
         mask=mask,
@@ -297,11 +294,7 @@ def extract(stego: AudioBuffer, key: StegoKey) -> bytes:
             f"key declares {key.payload_len_bytes} payload bytes but the "
             f"stego buffer yields only {len(used)} usable samples of {m}"
         )
-    samples = stego.samples
-    raw = (
-        np.array([samples[i] for i in used.tolist()], dtype=np.int64)
-        & ((1 << stego.bit_depth) - 1)
-    )
+    raw = stego.samples[used] & ((1 << stego.bit_depth) - 1)
     shifts = np.array([layer - 1 for layer in key.mask.layers], dtype=np.int64)
     bits = (raw[:, None] >> shifts[None, :]) & 1
     flat = bits.reshape(-1)[: 8 * key.payload_len_bytes]
@@ -332,20 +325,23 @@ def _values_of(raw: np.ndarray, bit_depth: int) -> np.ndarray:
     return raw
 
 
-def _make_engine(config: EmbedConfig, raw: np.ndarray):
-    """Returns f(indices, pattern_bits) -> modified raw samples."""
+def _make_engine(config: EmbedConfig, raw_at):
+    """Returns f(indices, pattern_bits) -> modified raw samples.
+
+    `raw_at(indices)` gives the cover's raw samples at those indices.
+    """
     mask = config.mask
     mask_bits = mask.bits
 
     if config.mode == "plain":
 
         def engine(idxs, pats):
-            return (raw[idxs] & ~mask_bits) | pats
+            return (raw_at(idxs) & ~mask_bits) | pats
 
     elif config.mode == "nearest":
 
         def engine(idxs, pats):
-            return bitplane.adjust_nearest_packed(raw[idxs], mask, pats)
+            return bitplane.adjust_nearest_packed(raw_at(idxs), mask, pats)
 
     else:  # ga
 
@@ -354,7 +350,7 @@ def _make_engine(config: EmbedConfig, raw: np.ndarray):
                 [derive_seed(config.key, "ga", int(i)) for i in idxs],
                 dtype=np.uint64,
             )
-            return run_ga_batch(raw[idxs], pats, mask, config.ga_params, seeds)
+            return run_ga_batch(raw_at(idxs), pats, mask, config.ga_params, seeds)
 
     return engine
 

@@ -3,9 +3,10 @@
 import json
 import random
 
+import numpy as np
 import pytest
 
-from gastego import bitplane, ga_adjust
+from gastego import bitplane, ga_adjust, pipeline
 from gastego.cli import main
 from gastego.wav_io import AudioBuffer, parse_wav, write_wav
 
@@ -129,6 +130,17 @@ class TestExitCodes:
             "--threshold", "0",
         )
         assert code == 2
+
+    def test_oversize_output_is_2(self, workspace, monkeypatch, capsys):
+        # a stego too large for the RIFF size fields: one broadcast zero, so
+        # nothing that large is allocated
+        ws, cover_path, msg_path = workspace
+        huge = AudioBuffer(np.broadcast_to(np.int64(0), (2**31 + 1,)), 16, 8000, 1)
+        monkeypatch.setattr(pipeline, "embed", lambda *args: (huge, None, None))
+        code, out, _ = run_embed(ws, cover_path, msg_path, "--mode", "plain")
+        assert code == 2
+        assert "error:" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_truncated_stego_is_key_mismatch_3(self, workspace):
         ws, cover_path, msg_path = workspace

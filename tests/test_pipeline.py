@@ -139,6 +139,20 @@ class TestEmbedBasics:
         with pytest.raises(BitDepthMismatch):
             embed(cover, b"x", EmbedConfig(mask=LayerMask((1,), 16), key=MasterKey(1)))
 
+    @pytest.mark.parametrize("mode", ["plain", "nearest", "ga"])
+    def test_cover_samples_unchanged(self, mode):
+        rnd = random.Random(4)
+        cover = random_cover(rnd, 3000)
+        before = cover.samples.copy()
+        config = EmbedConfig(
+            mask=LayerMask((1, 9), 16), key=MasterKey(5), mode=mode, threshold=200
+        )
+        stego, key, report = embed(cover, bytes(range(60)), config)
+        assert np.array_equal(cover.samples, before)
+        assert report.samples_skipped > 0  # the rejection path ran too
+        assert not np.shares_memory(stego.samples, cover.samples)
+        assert extract(stego, key) == bytes(range(60))
+
     def test_deterministic_stego_output(self):
         rnd = random.Random(2)
         cover = random_cover(rnd, 2000)

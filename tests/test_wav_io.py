@@ -5,12 +5,14 @@ import random
 import struct
 import wave
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gastego.errors import (
     MalformedContainer,
+    OversizeOutput,
     StegoError,
     TruncatedData,
     UnsupportedFormat,
@@ -50,6 +52,44 @@ class TestAudioBuffer:
         with pytest.raises(ValueError):
             AudioBuffer([], 8, 8000, 0)
 
+    @pytest.mark.parametrize(
+        "bit_depth, values, narrow",
+        [(8, [0, 7, 128, 255], np.uint8), (16, [-32768, -1, 0, 32767], np.int16)],
+    )
+    def test_sequences_and_arrays_give_equal_int64_buffers(
+        self, bit_depth, values, narrow
+    ):
+        inputs = [
+            values,
+            tuple(values),
+            np.array(values, dtype=narrow),
+            np.array(values, dtype=np.int64),
+        ]
+        buffers = [AudioBuffer(x, bit_depth, 8000, 2) for x in inputs]
+        for buf in buffers:
+            assert buf.samples.dtype == np.int64 and buf.samples.ndim == 1
+            assert buf.samples.tolist() == values
+            assert buf == buffers[0]
+        assert buffers[0] != AudioBuffer(values, bit_depth, 8000, 1)
+        assert buffers[0] != AudioBuffer(values, bit_depth, 8001, 2)
+        assert buffers[0] != AudioBuffer(values[::-1], bit_depth, 8000, 2)
+
+    @pytest.mark.parametrize(
+        "samples, bit_depth",
+        [
+            ([1.0, 2.0], 16),  # floats are rejected, not truncated
+            (np.array([0.5]), 8),
+            (np.zeros((2, 2), dtype=np.int16), 16),
+            ([[1, 2], [3, 4]], 8),
+            (np.array([40000]), 16),
+            (np.array([-1]), 8),
+            (np.array([256], dtype=np.int16), 8),
+        ],
+    )
+    def test_rejects_float_2d_and_out_of_range_arrays(self, samples, bit_depth):
+        with pytest.raises(ValueError):
+            AudioBuffer(samples, bit_depth, 8000, 1)
+
 
 class TestParse:
     def test_minimal_empty_file(self):
@@ -70,12 +110,23 @@ class TestParse:
         buf = parse_wav(stdlib_wav(bytes([0xFF, 0xFF]), width=2))
         assert buf.samples == [-1]
 
+    @pytest.mark.parametrize("width", [1, 2])
+    def test_samples_are_writable_and_do_not_alias_input(self, width):
+        data = bytearray(stdlib_wav(bytes([1, 2, 3, 4]), width=width))
+        buf = parse_wav(data)
+        before = buf.samples.tolist()
+        assert buf.samples.dtype == np.int64 and buf.samples.flags.writeable
+        data[-4:] = bytes(4)  # the source bytes change, the samples must not
+        assert buf.samples.tolist() == before
+        buf.samples[0] = 0  # and writing the samples leaves the source alone
+        assert parse_wav(bytes(data)).samples.tolist() == [0] * len(before)
+
     def test_skips_unknown_chunks(self):
         base = write_wav(AudioBuffer([10, 20], 8, 8000, 1))
         junk = b"LIST" + struct.pack("<I", 5) + b"xxxxx" + b"\x00"  # padded odd chunk
         data = base[:12] + junk + base[12:]
         data = data[:4] + struct.pack("<I", len(data) - 8) + data[8:]
-        assert parse_wav(data).samples == [10, 20]
+        assert parse_wav(data).samples.tolist() == [10, 20]
 
     def test_rejects_non_pcm_and_bad_depths(self):
         def fmt_blob(audio_format, bits):
@@ -141,11 +192,20 @@ class TestWrite:
     def test_16bit_encode_brute_force_against_decode(self):
         samples = list(range(-32768, 32768))
         data = write_wav(AudioBuffer(samples, 16, 8000, 1))
-        assert parse_wav(data).samples == samples
+        assert parse_wav(data).samples.tolist() == samples
         # and against an independent decoder
         with wave.open(io.BytesIO(data), "rb") as w:
             raw = w.readframes(w.getnframes())
         assert list(struct.unpack(f"<{len(samples)}h", raw)) == samples
+
+    def test_oversize_data_raises_oversize_output(self):
+        # 2**32 + 2 data bytes overflow the 32-bit size fields; the samples
+        # are one broadcast zero, so nothing that large is allocated
+        samples = np.broadcast_to(np.int64(0), (2**31 + 1,))
+        buf = AudioBuffer(samples, 16, 8000, 1)
+        with pytest.raises(OversizeOutput) as info:
+            write_wav(buf)
+        assert isinstance(info.value, StegoError)
 
     def test_odd_data_size_gets_pad_byte(self):
         data = write_wav(AudioBuffer([1], 8, 8000, 1))

@@ -246,13 +246,25 @@ class TestOracleCheck:
         assert main(["oracle-check", "--samples", "0"]) == 0
         assert "ga: skipped" in capsys.readouterr().out
 
-    def test_fault_injection_exits_4(self, monkeypatch, capsys):
-        # a corrupted adjuster must be caught as a contract violation
-        monkeypatch.setattr(
-            bitplane, "adjust_nearest",
-            lambda sample, mask, pattern: bitplane.alter(sample, mask, pattern),
-        )
+    @pytest.mark.parametrize("depth, lines", [
+        (8, "nearest 8-bit: 11610/32768 (35.43% match)\n"
+            "nearest 16-bit: 2000/2000 (100.00% match)\n"),
+        (16, "nearest 8-bit: 32768/32768 (100.00% match)\n"
+             "nearest 16-bit: 648/2000 (32.40% match)\n"),
+    ], ids=("8", "16"))
+    def test_fault_injection_exits_4(self, depth, lines, monkeypatch, capsys):
+        # an adjuster that only substitutes at one bit depth must be caught
+        # there as a contract violation, and only there
+        real = bitplane.adjust_nearest_packed
+
+        def substitute(samples, mask, pattern_bits):
+            if mask.bit_depth != depth:
+                return real(samples, mask, pattern_bits)
+            return (samples & ~mask.bits) | pattern_bits
+
+        monkeypatch.setattr(bitplane, "adjust_nearest_packed", substitute)
         assert main(["oracle-check", "--samples", "0"]) == 4
+        assert capsys.readouterr().out == lines
 
     def test_ga_below_bar_exits_4(self, monkeypatch, capsys):
         # a GA that only substitutes is never worse than plain, yet misses

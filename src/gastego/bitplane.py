@@ -74,11 +74,6 @@ def sample_value(raw: int, bit_depth: int) -> int:
     return raw
 
 
-def sample_raw(value: int, bit_depth: int) -> int:
-    """Inverse of sample_value."""
-    return value & ((1 << bit_depth) - 1)
-
-
 def distance(a_raw: int, b_raw: int, bit_depth: int) -> int:
     """|value(a) - value(b)|, the per-sample distortion measure."""
     return abs(sample_value(a_raw, bit_depth) - sample_value(b_raw, bit_depth))

@@ -1,6 +1,6 @@
 """Command-line front end.
 
-Subcommands: embed, extract, inspect, keygen-ga, oracle-check, bench.
+Subcommands: embed, extract, inspect, keygen-ga, oracle-check.
 Exit codes are stable: 0 success, 1 I/O or parse failure, 2 capacity or
 configuration problem, 3 key/stego mismatch, 4 optimality contract violation
 found by oracle-check. All randomness is seeded (--seed, default 0);
@@ -13,7 +13,6 @@ import argparse
 import json
 import secrets
 import sys
-import time
 from itertools import combinations, product
 
 import numpy as np
@@ -33,7 +32,6 @@ from .errors import (
 )
 from .ga_adjust import GaParams
 from .keystream import MasterKey, SplitMix64, derive_seed
-from .wav_io import AudioBuffer
 
 _CONFIG_ERRORS = (
     InsufficientCapacity,
@@ -116,13 +114,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--bit-depth", type=int, default=8, choices=(8, 16))
     p.add_argument("--seed", default="0")
     p.set_defaults(func=cmd_oracle_check)
-
-    p = sub.add_parser("bench", help="time embedding throughput per mode")
-    p.add_argument("--samples", type=int, default=20_000)
-    p.add_argument("--bit-depth", type=int, default=16, choices=(8, 16))
-    p.add_argument("--message-bytes", type=int, default=256)
-    p.add_argument("--seed", default="0")
-    p.set_defaults(func=cmd_bench)
 
     return parser
 
@@ -219,42 +210,32 @@ def cmd_keygen_ga(args) -> int:
 
 
 def cmd_oracle_check(args) -> int:
+    if args.samples < 0:
+        raise ValueError(f"--samples must be >= 0, got {args.samples}")
     rng = SplitMix64(derive_seed(MasterKey(int(args.seed, 0)), "oracle-check", 0))
 
-    # closed-form adjuster vs enumeration, exhaustive at 8-bit
-    mismatches = 0
-    total = 0
+    # closed-form adjuster vs enumeration: exhaustive at 8-bit over every
+    # mask of one or two layers, sampled at 16-bit from cases drawn in sequence
+    cases8: dict[LayerMask, list[tuple[int, int]]] = {}
     for k in (1, 2):
         for layers in combinations(range(1, 9), k):
             mask = LayerMask(layers, 8)
-            for pattern in product((0, 1), repeat=k):
-                for s in range(256):
-                    total += 1
-                    if bitplane.adjust_nearest(s, mask, pattern) != bitplane.oracle_nearest(
-                        s, mask, pattern
-                    ):
-                        mismatches += 1
-    print(f"nearest 8-bit: {total - mismatches}/{total} "
-          f"({100.0 * (total - mismatches) / total:.2f}% match)")
-
-    # sampled 16-bit sweep against the vectorized enumeration oracle: the
-    # cases are drawn in sequence, then checked one mask at a time
-    cases = 2000
-    by_mask: dict[LayerMask, list[tuple[int, int]]] = {}
-    for _ in range(cases):
+            patterns = map(mask.pack, product((0, 1), repeat=k))
+            cases8[mask] = [(s, bits) for bits in patterns for s in range(256)]
+    cases16: dict[LayerMask, list[tuple[int, int]]] = {}
+    for _ in range(2000):
         k = 1 + rng.next_below(3)
         mask = LayerMask(_draw_layers(rng, k, 16), 16)
         s = rng.next_below(1 << 16)
         pattern = mask.pack(tuple(rng.next_below(2) for _ in range(k)))
-        by_mask.setdefault(mask, []).append((s, pattern))
-    mis16 = 0
-    for mask, rows in by_mask.items():
-        samples, patterns = np.array(rows, dtype=np.int64).T
-        got = bitplane.adjust_nearest_packed(samples, mask, patterns)
-        mis16 += int((got != bitplane.oracle_nearest_bulk(samples, mask, patterns)).sum())
-    print(f"nearest 16-bit: {cases - mis16}/{cases} "
-          f"({100.0 * (cases - mis16) / cases:.2f}% match)")
-    if mismatches or mis16:
+        cases16.setdefault(mask, []).append((s, pattern))
+    violated = False
+    for bd, cases in ((8, cases8), (16, cases16)):
+        total, mismatches = _nearest_mismatches(cases)
+        print(f"nearest {bd}-bit: {total - mismatches}/{total} "
+              f"({100.0 * (total - mismatches) / total:.2f}% match)")
+        violated |= mismatches > 0
+    if violated:
         print("nearest adjuster violates its optimality contract", file=sys.stderr)
         return 4
 
@@ -294,24 +275,19 @@ def _draw_layers(rng: SplitMix64, k: int, bit_depth: int) -> tuple[int, ...]:
     return tuple(layers)
 
 
-def cmd_bench(args) -> int:
-    bd = args.bit_depth
-    rng = SplitMix64(derive_seed(MasterKey(int(args.seed, 0)), "bench", 0))
-    if bd == 8:
-        samples = [rng.next_below(256) for _ in range(args.samples)]
-    else:
-        samples = [rng.next_below(1 << 16) - (1 << 15) for _ in range(args.samples)]
-    cover = AudioBuffer(samples, bd, 44100, 1)
-    message = bytes(rng.next_below(256) for _ in range(args.message_bytes))
-    key = MasterKey(int(args.seed, 0))
-    for mode in pipeline.MODES:
-        config = pipeline.EmbedConfig(mask=LayerMask((1,), bd), key=key, mode=mode)
-        t0 = time.perf_counter()
-        _stego, _key, report = pipeline.embed(cover, message, config)
-        dt = time.perf_counter() - t0
-        rate = report.samples_used / dt if dt else float("inf")
-        print(f"{mode}: {dt * 1000:.1f} ms, {rate:,.0f} samples/s, snr {report.snr_db:.1f} dB")
-    return 0
+def _nearest_mismatches(cases: dict[LayerMask, list[tuple[int, int]]]) -> tuple[int, int]:
+    """Check adjust_nearest_packed against the enumeration oracle.
+
+    `cases` maps each mask to its (raw sample, packed pattern) rows; each
+    mask costs one call of each. Returns (cases, mismatches).
+    """
+    total = mismatches = 0
+    for mask, rows in cases.items():
+        samples, patterns = np.array(rows, dtype=np.int64).T
+        got = bitplane.adjust_nearest_packed(samples, mask, patterns)
+        mismatches += int((got != bitplane.oracle_nearest_bulk(samples, mask, patterns)).sum())
+        total += len(rows)
+    return total, mismatches
 
 
 def _read(path: str) -> bytes:

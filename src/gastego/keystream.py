@@ -73,12 +73,6 @@ class SplitMix64:
         """
         return (self.next64() * n) >> 64
 
-    def next_bytes(self, count: int) -> bytes:
-        out = bytearray()
-        while len(out) < count:
-            out += self.next64().to_bytes(8, "little")
-        return bytes(out[:count])
-
 
 def mix64(z: int) -> int:
     """One SplitMix64 step applied to state z; the seed-mixing primitive."""
@@ -173,9 +167,9 @@ def _walk_draws(n: int, key: MasterKey) -> tuple[np.ndarray, np.ndarray]:
 
 def xor_keystream(data: bytes, key: MasterKey) -> bytes:
     """XOR data with the keyed byte stream; applying it twice is a no-op."""
-    rng = SplitMix64(derive_seed(key, "encrypt", 0))
-    ks = rng.next_bytes(len(data))
-    return bytes(a ^ b for a, b in zip(data, ks))
+    words = stream_outputs(derive_seed(key, "encrypt", 0), 1, -(-len(data) // 8))
+    ks = np.frombuffer(words.astype("<u8").tobytes(), dtype=np.uint8, count=len(data))
+    return (np.frombuffer(data, dtype=np.uint8) ^ ks).tobytes()
 
 
 # --- vectorized stream access -------------------------------------------------

@@ -198,12 +198,6 @@ def embed(
     values = cover.samples
     stego_values = values.copy()  # accepted carriers are scattered into it
     perm: list[int] = []  # the resolved prefix of the walk
-
-    def raw_at(idxs):
-        return values[idxs] & ((1 << bit_depth) - 1)
-
-    engine = _make_engine(config, raw_at)
-
     skipped: list[int] = []
     max_dev = 0
     pos = 0  # cursor into the permuted walk
@@ -222,18 +216,21 @@ def embed(
             perm = permute_indices(n, config.key, max(pos + width, 2 * len(perm)))
         idxs = np.asarray(perm[pos : pos + width])
         pats = groups[g : g + width]
+        raw = values[idxs] & ((1 << bit_depth) - 1)
         run = width
         if config.mode == "ga" and not math.isinf(config.threshold):
             # the GA never beats the closed-form optimum, so a carrier whose
             # optimum exceeds the threshold is rejected without running it
-            optimum = bitplane.adjust_nearest_packed(raw_at(idxs), mask, pats)
+            optimum = bitplane.adjust_nearest_packed(raw, mask, pats)
             devs = np.abs(_values_of(optimum, bit_depth) - values[idxs])
             over = np.flatnonzero(devs > config.threshold)
             if len(over):
                 run = int(over[0])
         accepted = run
         if run:
-            modified = _values_of(engine(idxs[:run], pats[:run]), bit_depth)
+            modified = _values_of(
+                _engine(config, raw[:run], idxs[:run], pats[:run]), bit_depth
+            )
             devs = np.abs(modified - values[idxs[:run]])
             rejected = np.flatnonzero(devs > config.threshold)
             if len(rejected):
@@ -325,34 +322,24 @@ def _values_of(raw: np.ndarray, bit_depth: int) -> np.ndarray:
     return raw
 
 
-def _make_engine(config: EmbedConfig, raw_at):
-    """Returns f(indices, pattern_bits) -> modified raw samples.
+def _engine(
+    config: EmbedConfig, raw: np.ndarray, idxs: np.ndarray, pats: np.ndarray
+) -> np.ndarray:
+    """The configured engine's modified raw samples for one run of carriers.
 
-    `raw_at(indices)` gives the cover's raw samples at those indices.
+    `raw` holds the cover's raw samples at walk indices `idxs` (the `ga`
+    engine seeds each carrier's GA from its index) and `pats` their packed
+    pattern bits.
     """
     mask = config.mask
-    mask_bits = mask.bits
-
     if config.mode == "plain":
-
-        def engine(idxs, pats):
-            return (raw_at(idxs) & ~mask_bits) | pats
-
-    elif config.mode == "nearest":
-
-        def engine(idxs, pats):
-            return bitplane.adjust_nearest_packed(raw_at(idxs), mask, pats)
-
-    else:  # ga
-
-        def engine(idxs, pats):
-            seeds = np.array(
-                [derive_seed(config.key, "ga", int(i)) for i in idxs],
-                dtype=np.uint64,
-            )
-            return run_ga_batch(raw_at(idxs), pats, mask, config.ga_params, seeds)
-
-    return engine
+        return (raw & ~mask.bits) | pats
+    if config.mode == "nearest":
+        return bitplane.adjust_nearest_packed(raw, mask, pats)
+    seeds = np.array(
+        [derive_seed(config.key, "ga", int(i)) for i in idxs], dtype=np.uint64
+    )
+    return run_ga_batch(raw, pats, mask, config.ga_params, seeds)
 
 
 # --- key file serialization ------------------------------------------------------

@@ -16,7 +16,6 @@ from gastego.bitplane import (
     distance,
     oracle_nearest,
     oracle_nearest_bulk,
-    sample_raw,
     sample_value,
 )
 
@@ -56,11 +55,9 @@ class TestValueConventions:
         assert sample_value(0xFFFF, 16) == -1
         assert sample_value(0x8000, 16) == -32768
         assert sample_value(0x7FFF, 16) == 32767
-        assert sample_raw(-1, 16) == 0xFFFF
 
     def test_unsigned_8_bit(self):
         assert sample_value(255, 8) == 255
-        assert sample_raw(200, 8) == 200
 
     def test_distance_is_on_values(self):
         # raw 0x0000 and 0xFFFF are numeric neighbors at 16 bit

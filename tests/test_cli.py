@@ -266,6 +266,13 @@ class TestOracleCheck:
         assert main(["oracle-check", "--samples", "0"]) == 4
         assert capsys.readouterr().out == lines
 
+    def test_negative_samples_is_2(self, capsys):
+        # checked before any sweep runs, so nothing reaches stdout
+        assert main(["oracle-check", "--samples", "-5"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "--samples must be >= 0, got -5" in captured.err
+
     def test_ga_below_bar_exits_4(self, monkeypatch, capsys):
         # a GA that only substitutes is never worse than plain, yet misses
         # the optimum far below the 99% bar
@@ -277,11 +284,3 @@ class TestOracleCheck:
         captured = capsys.readouterr()
         assert "never worse than plain: True" in captured.out
         assert "below its optimality bar" in captured.err
-
-
-class TestBench:
-    def test_smoke(self, capsys):
-        assert main(["bench", "--samples", "600", "--message-bytes", "16"]) == 0
-        out = capsys.readouterr().out
-        for mode in ("plain", "nearest", "ga"):
-            assert f"{mode}:" in out

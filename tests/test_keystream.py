@@ -76,12 +76,6 @@ class TestSplitMix64:
             assert 0 <= got < n
             rng.next64()
 
-    def test_next_bytes_little_endian(self):
-        rng = SplitMix64(0)
-        first = SplitMix64(0).next64()
-        assert rng.next_bytes(8) == first.to_bytes(8, "little")
-        assert SplitMix64(0).next_bytes(3) == first.to_bytes(8, "little")[:3]
-
     def test_stream_outputs_closed_form(self):
         rng = SplitMix64(424242)
         seq = [rng.next64() for _ in range(40)]
@@ -224,6 +218,15 @@ class TestXorKeystream:
 
     def test_empty(self):
         assert xor_keystream(b"", MasterKey(1)) == b""
+
+    def test_bytes_are_next64_little_endian(self):
+        # the README's normative byte stream: each next64() of the "encrypt"
+        # stream emitted as 8 little-endian bytes, cut at the data's length
+        key = MasterKey(0xC0FFEE)
+        for length in (1, 7, 8, 9, 20):
+            rng = SplitMix64(derive_seed(key, "encrypt", 0))
+            stream = b"".join(rng.next64().to_bytes(8, "little") for _ in range(3))
+            assert xor_keystream(bytes(length), key) == stream[:length]
 
     def test_keystream_byte_uniformity_chi_square(self):
         # 1 MB of zeros exposes the raw keystream; chi-square against a

@@ -230,11 +230,17 @@ class TestOracleCheck:
     @pytest.mark.parametrize("bit_depth, code, ga_line", [
         ("8", 0, "ga 8-bit: 20/20 optimal (100.00%), never worse than plain: True"),
         ("16", 4, "ga 16-bit: 19/20 optimal (95.00%), never worse than plain: True"),
+        # the default 300 cases at the default seed, as the README quotes them
+        ("8", 0, "ga 8-bit: 297/300 optimal (99.00%), never worse than plain: True"),
+        ("16", 4, "ga 16-bit: 289/300 optimal (96.33%), never worse than plain: True"),
     ])
     def test_ga_section_stdout_pinned(self, bit_depth, code, ga_line, capsys):
         # the GA cases are drawn from the generator after the 16-bit sweep, so
-        # this line also pins the sweep's draw order
-        argv = ["oracle-check", "--samples", "20", "--bit-depth", bit_depth, "--seed", "3"]
+        # this line also pins the sweep's draw order; the case count is the
+        # one the line reports, and the 20-case lines use seed 3
+        cases = ga_line.split("/")[1].split()[0]
+        seed = "3" if cases == "20" else "0"
+        argv = ["oracle-check", "--samples", cases, "--bit-depth", bit_depth, "--seed", seed]
         assert main(argv) == code
         assert capsys.readouterr().out == (
             "nearest 8-bit: 32768/32768 (100.00% match)\n"

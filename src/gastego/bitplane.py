@@ -67,70 +67,34 @@ class LayerMask:
         return tuple((raw >> (layer - 1)) & 1 for layer in self.layers)
 
 
-def sample_value(raw: int, bit_depth: int) -> int:
-    """Interpret a raw sample: unsigned for 8-bit, two's complement for 16-bit."""
-    if bit_depth == 16 and raw >= 1 << 15:
-        return raw - (1 << 16)
+def values_of(raw: np.ndarray, bit_depth: int) -> np.ndarray:
+    """Values of raw int64 samples: unsigned at 8-bit, two's complement at 16-bit."""
+    if bit_depth == 16:
+        return np.where(raw >= 1 << 15, raw - (1 << 16), raw)
     return raw
-
-
-def distance(a_raw: int, b_raw: int, bit_depth: int) -> int:
-    """|value(a) - value(b)|, the per-sample distortion measure."""
-    return abs(sample_value(a_raw, bit_depth) - sample_value(b_raw, bit_depth))
-
-
-def read_bits(sample: int, mask: LayerMask) -> tuple[int, ...]:
-    """Extract the payload bits a raw sample carries at the mask.
-
-    An alias of LayerMask.unpack, which the package itself uses; it stays
-    only because the acceptance suite (tests/test_acceptance.py) imports it.
-    """
-    return mask.unpack(sample)
-
-
-def alter(sample: int, mask: LayerMask, pattern: Sequence[int]) -> int:
-    """Substitute the pattern into the target layers; all other bits unchanged."""
-    return (sample & ~mask.bits) | mask.pack(pattern)
 
 
 # --- nearest-valid-value adjustment -------------------------------------------
 #
-# Both the adjuster and the oracle reason in a "biased" domain where unsigned
-# order equals value order: 16-bit raw samples are XORed with 0x8000, 8-bit
-# samples are already ordered. Fixing the target bits leaves the free bits,
-# and the candidate value is strictly increasing in the free-bit field, so
-# the nearest candidates are the floor and ceiling of that monotone map.
+# The adjuster reasons in a "biased" domain where unsigned order equals
+# value order: 16-bit raw samples are XORed with 0x8000, 8-bit samples are
+# already ordered. Fixing the target bits leaves the free bits, and the
+# candidate value is strictly increasing in the free-bit field, so the
+# nearest candidates are the floor and ceiling of that monotone map.
 
 
 def _bias_bit(bit_depth: int) -> int:
     return 1 << 15 if bit_depth == 16 else 0
 
 
-def _where(cond, a, b):
-    """np.where for arrays; a plain conditional for scalar conditions."""
-    if isinstance(cond, np.ndarray):
-        return np.where(cond, a, b)
-    return a if cond else b
+def adjust_nearest_packed(samples, mask: LayerMask, pattern_bits) -> np.ndarray:
+    """Nearest raw values that carry the packed `pattern_bits` at `mask`.
 
-
-def adjust_nearest(sample: int, mask: LayerMask, pattern: Sequence[int]) -> int:
-    """Nearest raw value that carries `pattern` at `mask`.
-
-    Minimizes |value(result) - value(sample)|; ties go to the smaller value.
+    `samples` and `pattern_bits` are raw int64 arrays of one shape; returns
+    an int64 array of that shape. Each result minimizes
+    |value(result) - value(sample)|, and ties go to the smaller value.
     Contract-equivalent to oracle_nearest, which defines optimality by
     exhaustive enumeration.
-    """
-    return adjust_nearest_packed(sample, mask, mask.pack(pattern))
-
-
-def adjust_nearest_packed(samples, mask: LayerMask, pattern_bits):
-    """adjust_nearest over whole arrays, patterns already packed at the mask.
-
-    `samples` and `pattern_bits` are raw values of one shape, arrays or ints;
-    returns an int64 array of that shape, or an int for int arguments. Ints
-    run the same steps in Python integer arithmetic, which is exact here
-    (every operand is a non-negative bit pattern of the bit depth) and far
-    cheaper per call than 0-d arrays.
 
     Closed form, in the biased domain: h is the highest target bit where
     sample and pattern differ. Candidates that keep the sample's bits above h
@@ -145,10 +109,8 @@ def adjust_nearest_packed(samples, mask: LayerMask, pattern_bits):
     bias = _bias_bit(bd)
     target = mask.bits
     free = ((1 << bd) - 1) & ~target
-    if not isinstance(samples, int):
-        samples = np.asarray(samples, dtype=np.int64)
-    if not isinstance(pattern_bits, int):
-        pattern_bits = np.asarray(pattern_bits, dtype=np.int64)
+    samples = np.asarray(samples, dtype=np.int64)
+    pattern_bits = np.asarray(pattern_bits, dtype=np.int64)
     sb = samples ^ bias
     pb = pattern_bits ^ (target & bias)
 
@@ -157,65 +119,38 @@ def adjust_nearest_packed(samples, mask: LayerMask, pattern_bits):
         low = low | (low >> shift)
     up = (pb & (low ^ (low >> 1))) != 0  # the pattern has the 1 at h
     prefix = sb & ~low
-    same = prefix | (pb & low) | _where(up, 0, free & low)
+    same = prefix | (pb & low) | np.where(up, 0, free & low)
 
     field = free & ~low  # free bits above h
-    stepped = _where(up, (prefix & field) - 1, (prefix | ~field) + 1) & field
-    other = (prefix & target) | stepped | (pb & low) | _where(up, free & low, 0)
-    exists = _where(up, prefix & field != 0, prefix & field != field)
+    stepped = np.where(up, (prefix & field) - 1, (prefix | ~field) + 1) & field
+    other = (prefix & target) | stepped | (pb & low) | np.where(up, free & low, 0)
+    exists = np.where(up, prefix & field != 0, prefix & field != field)
     # distance ties go to the smaller value: `other` when it lies below
     d_same, d_other = abs(same - sb), abs(other - sb)
-    closer = _where(up, d_other <= d_same, d_other < d_same)
-    best = _where(exists & closer, other, same) ^ bias
-    return best if isinstance(best, np.ndarray) else int(best)
+    closer = np.where(up, d_other <= d_same, d_other < d_same)
+    return np.where(exists & closer, other, same) ^ bias
 
 
-def oracle_nearest(sample: int, mask: LayerMask, pattern: Sequence[int]) -> int:
-    """Ground-truth optimum by enumerating every raw value of the bit depth.
-
-    Kept deliberately naive and independent of adjust_nearest; cheap at
-    8-bit, usable at 16-bit in tests.
-    """
-    bd = mask.bit_depth
-    mask_bits = mask.bits
-    pattern_bits = mask.pack(pattern)
-    s_val = sample_value(sample, bd)
-    best = None
-    best_key = None
-    for v in range(1 << bd):
-        if v & mask_bits != pattern_bits:
-            continue
-        val = sample_value(v, bd)
-        key = (abs(val - s_val), val)
-        if best_key is None or key < best_key:
-            best, best_key = v, key
-    assert best is not None
-    return best
-
-
-def oracle_nearest_bulk(
+def oracle_nearest(
     samples: np.ndarray, mask: LayerMask, pattern_bits: np.ndarray
 ) -> np.ndarray:
-    """Vectorized enumeration oracle: one optimum per (sample, pattern) row.
+    """Ground-truth optima by enumeration: one per (sample, pattern) row.
 
-    Same filter-and-minimize brute force as oracle_nearest, evaluated with
-    numpy so test sweeps over many 16-bit cases stay fast. `samples` and
-    `pattern_bits` are raw int64 arrays of equal shape (n,). Every value of
-    the bit depth is enumerated once per call, in ascending order; the
-    candidates carrying a pattern are filtered once per distinct pattern,
+    `samples` and `pattern_bits` are raw int64 arrays of equal shape (n,).
+    Kept deliberately naive and independent of adjust_nearest_packed: every
+    value of the bit depth is enumerated once per call, in ascending order;
+    the candidates carrying a pattern are filtered once per distinct pattern,
     and every row with that pattern scans all of them (in chunks of rows, to
     bound memory). The first candidate at the minimum distance is the
-    smaller value, as the tie rule wants. It is the 16-bit reference of
-    acceptance criterion 3 and of `oracle-check`.
+    smaller value, as the tie rule wants. It is the reference of acceptance
+    criterion 3 and of `oracle-check`.
     """
     bd = mask.bit_depth
     lo = -(1 << 15) if bd == 16 else 0
     values = np.arange(lo, lo + (1 << bd), dtype=np.int64)
     raws = values & ((1 << bd) - 1)
     masked = raws & mask.bits
-    s_vals = np.asarray(samples, dtype=np.int64)
-    if bd == 16:
-        s_vals = np.where(s_vals >= 1 << 15, s_vals - (1 << 16), s_vals)
+    s_vals = values_of(np.asarray(samples, dtype=np.int64), bd)
     pattern_bits = np.asarray(pattern_bits, dtype=np.int64)
 
     out = np.empty(len(s_vals), dtype=np.int64)

@@ -55,7 +55,7 @@ def main(argv: list[str] | None = None) -> int:
     except _CONFIG_ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (StegoError, OSError, UnicodeDecodeError) as exc:
+    except (StegoError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 
@@ -168,7 +168,11 @@ def cmd_embed(args) -> int:
 
 def cmd_extract(args) -> int:
     stego = wav_io.parse_wav(_read(args.stego))
-    key = pipeline.parse_key_file(_read(args.key).decode("utf-8"))
+    try:
+        text = _read(args.key).decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise KeyParseError(f"key file is not UTF-8 text: {exc}") from exc
+    key = pipeline.parse_key_file(text)
     message = pipeline.extract(stego, key)
     _write(args.out, message)
     print(f"recovered {len(message)} bytes")
@@ -224,10 +228,7 @@ def cmd_oracle_check(args) -> int:
             cases8[mask] = [(s, bits) for bits in patterns for s in range(256)]
     cases16: dict[LayerMask, list[tuple[int, int]]] = {}
     for _ in range(2000):
-        k = 1 + rng.next_below(3)
-        mask = LayerMask(_draw_layers(rng, k, 16), 16)
-        s = rng.next_below(1 << 16)
-        pattern = mask.pack(tuple(rng.next_below(2) for _ in range(k)))
+        mask, s, pattern = _draw_case(rng, 16)
         cases16.setdefault(mask, []).append((s, pattern))
     violated = False
     for bd, cases in ((8, cases8), (16, cases16)):
@@ -244,17 +245,24 @@ def cmd_oracle_check(args) -> int:
         bd = args.bit_depth
         hits = 0
         never_worse = True
+        cases: dict[LayerMask, list[tuple[int, int, int]]] = {}
         for _ in range(args.samples):
-            k = 1 + rng.next_below(3)
-            mask = LayerMask(_draw_layers(rng, k, bd), bd)
-            s = rng.next_below(1 << bd)
-            pattern = tuple(rng.next_below(2) for _ in range(k))
-            got = ga_adjust.run_ga(s, mask, pattern, GaParams(), rng.next64())
-            d_got = bitplane.distance(got, s, bd)
-            d_opt = bitplane.distance(bitplane.oracle_nearest(s, mask, pattern), s, bd)
-            d_plain = bitplane.distance(bitplane.alter(s, mask, pattern), s, bd)
-            hits += d_got == d_opt
-            never_worse &= d_got <= d_plain
+            mask, s, pattern = _draw_case(rng, bd)
+            cases.setdefault(mask, []).append((s, pattern, rng.next64()))
+        for mask, rows in cases.items():
+            samples, patterns = np.array([row[:2] for row in rows], dtype=np.int64).T
+            seeds = np.array([row[2] for row in rows], dtype=np.uint64)
+            s_vals = bitplane.values_of(samples, bd)
+            d_got, d_opt, d_plain = (
+                np.abs(bitplane.values_of(raw, bd) - s_vals)
+                for raw in (
+                    ga_adjust.run_ga_batch(samples, patterns, mask, GaParams(), seeds),
+                    bitplane.oracle_nearest(samples, mask, patterns),
+                    (samples & ~mask.bits) | patterns,
+                )
+            )
+            hits += int((d_got == d_opt).sum())
+            never_worse &= bool((d_got <= d_plain).all())
         rate = 100.0 * hits / args.samples
         print(f"ga {bd}-bit: {hits}/{args.samples} optimal ({rate:.2f}%), "
               f"never worse than plain: {never_worse}")
@@ -275,6 +283,17 @@ def _draw_layers(rng: SplitMix64, k: int, bit_depth: int) -> tuple[int, ...]:
     return tuple(layers)
 
 
+def _draw_case(rng: SplitMix64, bit_depth: int) -> tuple[LayerMask, int, int]:
+    """One random (mask, raw sample, packed pattern) case of 1 to 3 layers.
+
+    Draws k, the k layers, the sample, then the k pattern bits.
+    """
+    k = 1 + rng.next_below(3)
+    mask = LayerMask(_draw_layers(rng, k, bit_depth), bit_depth)
+    s = rng.next_below(1 << bit_depth)
+    return mask, s, mask.pack(tuple(rng.next_below(2) for _ in range(k)))
+
+
 def _nearest_mismatches(cases: dict[LayerMask, list[tuple[int, int]]]) -> tuple[int, int]:
     """Check adjust_nearest_packed against the enumeration oracle.
 
@@ -285,7 +304,8 @@ def _nearest_mismatches(cases: dict[LayerMask, list[tuple[int, int]]]) -> tuple[
     for mask, rows in cases.items():
         samples, patterns = np.array(rows, dtype=np.int64).T
         got = bitplane.adjust_nearest_packed(samples, mask, patterns)
-        mismatches += int((got != bitplane.oracle_nearest_bulk(samples, mask, patterns)).sum())
+        want = bitplane.oracle_nearest(samples, mask, patterns)
+        mismatches += int((got != want).sum())
         total += len(rows)
     return total, mismatches
 

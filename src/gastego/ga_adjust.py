@@ -34,7 +34,6 @@ leaves the draws of the others unchanged.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
@@ -61,24 +60,6 @@ class GaParams:
             raise ValueError("mutation_prob must be in [0, 1]")
         if not 1 <= self.elitism_count < self.population_size:
             raise ValueError("elitism_count must be in [1, population_size)")
-
-
-def run_ga(
-    sample: int,
-    mask: LayerMask,
-    pattern: Sequence[int],
-    params: GaParams,
-    seed: int,
-) -> int:
-    """Evolve one sample; returns the fittest raw value found."""
-    best = run_ga_batch(
-        np.array([sample], dtype=np.int64),
-        np.array([mask.pack(pattern)], dtype=np.int64),
-        mask,
-        params,
-        np.array([seed], dtype=np.uint64),
-    )
-    return int(best[0])
 
 
 def run_ga_batch(

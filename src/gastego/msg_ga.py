@@ -99,16 +99,6 @@ def set_fitness(individual: Individual, profile: MessageProfile) -> int:
     return len(profile.distinct & set(individual))
 
 
-def scarce_genes(
-    profile: MessageProfile, population: list[Individual]
-) -> set[int]:
-    """Message values that no individual in the population carries."""
-    present: set[int] = set()
-    for ind in population:
-        present.update(ind)
-    return set(profile.distinct) - present
-
-
 def evolve(message: bytes, params: MsgGaParams = MsgGaParams()) -> EvolveResult:
     """Run the GA until one individual covers every distinct message value.
 

@@ -222,13 +222,13 @@ def embed(
             # the GA never beats the closed-form optimum, so a carrier whose
             # optimum exceeds the threshold is rejected without running it
             optimum = bitplane.adjust_nearest_packed(raw, mask, pats)
-            devs = np.abs(_values_of(optimum, bit_depth) - values[idxs])
+            devs = np.abs(bitplane.values_of(optimum, bit_depth) - values[idxs])
             over = np.flatnonzero(devs > config.threshold)
             if len(over):
                 run = int(over[0])
         accepted = run
         if run:
-            modified = _values_of(
+            modified = bitplane.values_of(
                 _engine(config, raw[:run], idxs[:run], pats[:run]), bit_depth
             )
             devs = np.abs(modified - values[idxs[:run]])
@@ -314,12 +314,6 @@ def _pattern_groups(ciphertext: bytes, mask: LayerMask) -> np.ndarray:
         bits = np.concatenate([bits, np.zeros(pad, dtype=np.int64)])
     place = np.array([1 << (layer - 1) for layer in mask.layers], dtype=np.int64)
     return bits.reshape(-1, k) @ place
-
-
-def _values_of(raw: np.ndarray, bit_depth: int) -> np.ndarray:
-    if bit_depth == 16:
-        return np.where(raw >= 1 << 15, raw - (1 << 16), raw)
-    return raw
 
 
 def _engine(

@@ -11,18 +11,9 @@ from itertools import combinations, product
 import numpy as np
 import pytest
 
-from gastego.bitplane import (
-    LayerMask,
-    adjust_nearest,
-    adjust_nearest_packed,
-    alter,
-    distance,
-    oracle_nearest,
-    oracle_nearest_bulk,
-    read_bits,
-)
+from gastego.bitplane import LayerMask, adjust_nearest_packed, oracle_nearest
 from gastego.errors import StegoError
-from gastego.ga_adjust import GaParams, run_ga
+from gastego.ga_adjust import GaParams, run_ga_batch
 from gastego.keystream import MasterKey
 from gastego.msg_ga import MsgGaParams, evolve
 from gastego.pipeline import EmbedConfig, embed, extract
@@ -37,6 +28,19 @@ def random_cover(rnd, n, bit_depth, channels=1):
     )
 
 
+def distance(a_raw, b_raw, bit_depth):
+    """|value(a) - value(b)|, values two's complement at 16-bit."""
+    def value(raw):
+        return raw - (1 << 16) if bit_depth == 16 and raw >= 1 << 15 else raw
+
+    return abs(value(a_raw) - value(b_raw))
+
+
+def substitute(sample, mask, pattern):
+    """Plain substitution of the pattern into the target layers."""
+    return (sample & ~mask.bits) | mask.pack(pattern)
+
+
 def random_mask(rnd, bit_depth, max_k=3):
     k = rnd.randint(1, max_k)
     return LayerMask(tuple(rnd.sample(range(1, bit_depth + 1), k)), bit_depth)
@@ -45,35 +49,36 @@ def random_mask(rnd, bit_depth, max_k=3):
 def test_criterion_1_worked_single_layer_adjustment():
     """Layer 5 of sample 47: substitution costs 16, adjustment costs 1."""
     mask = LayerMask((5,), 8)
-    plain = alter(47, mask, (1,))
-    adjusted = adjust_nearest(47, mask, (1,))
+    plain = substitute(47, mask, (1,))
+    [adjusted] = adjust_nearest_packed([47], mask, [mask.pack((1,))]).tolist()
     assert plain == 63 and distance(plain, 47, 8) == 16
     assert adjusted == 48 and distance(adjusted, 47, 8) == 1
-    print("PASS criterion 1: alter(47,{5},1)=63 (d=16), adjust=48 (d=1)")
+    print("PASS criterion 1: substitute(47,{5},1)=63 (d=16), adjust=48 (d=1)")
 
 
 def test_criterion_2_worked_double_layer_adjustment():
     """Layers 4&5 of sample 39: substitution costs 24, adjustment costs 8."""
     mask = LayerMask((4, 5), 8)
-    plain = alter(39, mask, (1, 1))
-    adjusted = adjust_nearest(39, mask, (1, 1))
+    plain = substitute(39, mask, (1, 1))
+    [adjusted] = adjust_nearest_packed([39], mask, [mask.pack((1, 1))]).tolist()
     assert plain == 63 and distance(plain, 39, 8) == 24
     assert adjusted == 31 and distance(adjusted, 39, 8) == 8
-    print("PASS criterion 2: alter(39,{4,5},11)=63 (d=24), adjust=31 (d=8)")
+    print("PASS criterion 2: substitute(39,{4,5},11)=63 (d=24), adjust=31 (d=8)")
 
 
 def test_criterion_3_oracle_equivalence():
-    """adjust_nearest equals brute-force enumeration, everywhere it is checked."""
+    """adjust_nearest_packed equals brute-force enumeration wherever it is checked."""
     checked = 0
     for k in (1, 2):
         for layers in combinations(range(1, 9), k):
             mask = LayerMask(layers, 8)
             for pattern in product((0, 1), repeat=k):
-                for s in range(256):
-                    assert adjust_nearest(s, mask, pattern) == oracle_nearest(
-                        s, mask, pattern
-                    ), (s, layers, pattern)
-                    checked += 1
+                samples = np.arange(256, dtype=np.int64)
+                pats = np.full(256, mask.pack(pattern), dtype=np.int64)
+                got = adjust_nearest_packed(samples, mask, pats)
+                wrong = np.flatnonzero(got != oracle_nearest(samples, mask, pats))
+                assert len(wrong) == 0, (int(samples[wrong[0]]), layers, pattern)
+                checked += len(samples)
     assert checked == 256 * (8 * 2 + 28 * 4)
 
     rnd = random.Random(20260301)
@@ -92,11 +97,11 @@ def test_criterion_3_oracle_equivalence():
             ],
             dtype=np.int64,
         )
-        reference = oracle_nearest_bulk(samples, mask, pats)
-        for i in range(chunk):
-            assert adjust_nearest_packed(int(samples[i]), mask, int(pats[i])) == int(
-                reference[i]
-            ), (int(samples[i]), mask.layers, int(pats[i]))
+        got = adjust_nearest_packed(samples, mask, pats)
+        wrong = np.flatnonzero(got != oracle_nearest(samples, mask, pats))
+        assert len(wrong) == 0, (
+            int(samples[wrong[0]]), mask.layers, int(pats[wrong[0]])
+        )
         cases16 += chunk
     print(
         f"PASS criterion 3: nearest==oracle on {checked} exhaustive 8-bit and "
@@ -114,11 +119,14 @@ def test_criterion_4_ga_optimality_and_never_worse():
         mask = random_mask(rnd, 8)
         s = rnd.randrange(256)
         pattern = tuple(rnd.randint(0, 1) for _ in range(mask.k))
-        got = run_ga(s, mask, pattern, GaParams(), rnd.getrandbits(64))
-        assert read_bits(got, mask) == pattern
+        bits = mask.pack(pattern)
+        seed = rnd.getrandbits(64)
+        [got] = run_ga_batch([s], [bits], mask, GaParams(), [seed]).tolist()
+        assert mask.unpack(got) == pattern
         d = distance(got, s, 8)
-        optimal += d == distance(oracle_nearest(s, mask, pattern), s, 8)
-        worse += d > distance(alter(s, mask, pattern), s, 8)
+        [best] = oracle_nearest([s], mask, [bits]).tolist()
+        optimal += d == distance(best, s, 8)
+        worse += d > distance(substitute(s, mask, pattern), s, 8)
     assert worse == 0
     assert optimal / trials >= 0.99
     print(

@@ -159,6 +159,16 @@ class TestExitCodes:
         assert main(["extract", "--stego", str(out), "--key", str(key),
                      "--out", str(ws / "rec.bin")]) == 1
 
+    def test_non_utf8_key_is_1(self, workspace, capsys):
+        # a key file that is not UTF-8 text is a parse failure, not a
+        # configuration problem
+        ws, cover_path, msg_path = workspace
+        code, out, key = run_embed(ws, cover_path, msg_path)
+        key.write_bytes(b"\xff\xfe")
+        assert main(["extract", "--stego", str(out), "--key", str(key),
+                     "--out", str(ws / "rec.bin")]) == 1
+        assert "key file is not UTF-8 text" in capsys.readouterr().err
+
     def test_malformed_wav_is_1(self, workspace):
         ws, cover_path, msg_path = workspace
         code, out, key = run_embed(ws, cover_path, msg_path)
@@ -240,7 +250,8 @@ class TestOracleCheck:
         # one the line reports, and the 20-case lines use seed 3
         cases = ga_line.split("/")[1].split()[0]
         seed = "3" if cases == "20" else "0"
-        argv = ["oracle-check", "--samples", cases, "--bit-depth", bit_depth, "--seed", seed]
+        argv = ["oracle-check", "--samples", cases, "--bit-depth", bit_depth,
+                "--seed", seed]
         assert main(argv) == code
         assert capsys.readouterr().out == (
             "nearest 8-bit: 32768/32768 (100.00% match)\n"
@@ -283,8 +294,9 @@ class TestOracleCheck:
         # a GA that only substitutes is never worse than plain, yet misses
         # the optimum far below the 99% bar
         monkeypatch.setattr(
-            ga_adjust, "run_ga",
-            lambda sample, mask, pattern, params, seed: bitplane.alter(sample, mask, pattern),
+            ga_adjust, "run_ga_batch",
+            lambda samples, pattern_bits, mask, params, seeds:
+                (samples & ~mask.bits) | pattern_bits,
         )
         assert main(["oracle-check", "--samples", "100"]) == 4
         captured = capsys.readouterr()

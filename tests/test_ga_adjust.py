@@ -1,27 +1,35 @@
 """Per-sample GA: reference operators, invariants, oracle quality, equivalence
-of the production engine with the scalar reference."""
+of the production engine with the scalar reference.
+
+run_ga_batch takes lists of rows here as well as arrays; a single case is a
+one-row batch.
+"""
 
 import random
 
 import numpy as np
 import pytest
 
-from gastego.bitplane import (
-    LayerMask,
-    alter,
-    distance,
-    oracle_nearest,
-    sample_value,
-)
+from gastego.bitplane import LayerMask, oracle_nearest
 from gastego import ga_adjust
-from gastego.ga_adjust import GaParams, run_ga, run_ga_batch
+from gastego.ga_adjust import GaParams, run_ga_batch
 from gastego.keystream import SplitMix64
 
 
 # --- scalar reference ----------------------------------------------------------
 # A one-draw-at-a-time transliteration of the draw order documented in
-# gastego.ga_adjust, kept deliberately naive. It pins the normative order that
-# the vectorized run_ga_batch must reproduce bit-for-bit.
+# gastego.ga_adjust, kept deliberately naive and apart from the code it checks
+# (it reads values and distances its own way). It pins the normative order
+# that the vectorized run_ga_batch must reproduce bit-for-bit.
+
+
+def value(raw, bit_depth):
+    """A raw sample's value: unsigned at 8-bit, two's complement at 16-bit."""
+    return raw - (1 << 16) if bit_depth == 16 and raw >= 1 << 15 else raw
+
+
+def distance(a_raw, b_raw, bit_depth):
+    return abs(value(a_raw, bit_depth) - value(b_raw, bit_depth))
 
 
 def prob_threshold(prob):
@@ -65,7 +73,7 @@ def reference_run_ga(sample, mask, pattern, params, seed):
 
     def sort_key(raw):
         # fittest first; distance ties go to the smaller sample value
-        return (distance(raw, sample, bd), sample_value(raw, bd))
+        return (distance(raw, sample, bd), value(raw, bd))
 
     # First generation: the original (repaired so it is a legal carrier), the
     # plain altered sample, then random carriers up to the population size.
@@ -208,7 +216,8 @@ class TestMutate:
 
 class TestRunGa:
     def test_pinned_example_finds_unique_optimum(self):
-        assert run_ga(47, LayerMask((5,), 8), (1,), GaParams(), seed=42) == 48
+        m = LayerMask((5,), 8)
+        assert run_ga_batch([47], [m.pack((1,))], m, GaParams(), [42]).tolist() == [48]
 
     def test_identity_when_pattern_matches(self):
         rnd = random.Random(6)
@@ -217,13 +226,16 @@ class TestRunGa:
             k = rnd.randint(1, 2)
             m = LayerMask(tuple(rnd.sample(range(1, bd + 1), k)), bd)
             s = rnd.randrange(1 << bd)
-            assert run_ga(s, m, m.unpack(s), GaParams(), rnd.getrandbits(64)) == s
+            seed = rnd.getrandbits(64)
+            got = run_ga_batch([s], [s & m.bits], m, GaParams(), [seed])
+            assert got.tolist() == [s]
 
     def test_deterministic(self):
         m = LayerMask((3, 6), 16)
-        a = run_ga(12345, m, (1, 0), GaParams(), 777)
-        b = run_ga(12345, m, (1, 0), GaParams(), 777)
-        assert a == b
+        bits = m.pack((1, 0))
+        a = run_ga_batch([12345, 12345], [bits, bits], m, GaParams(), [777, 777])
+        b = run_ga_batch([12345], [bits], m, GaParams(), [777])
+        assert a.tolist() == 2 * b.tolist()
 
     def test_output_validity_never_worse_and_quality(self):
         rnd = random.Random(7)
@@ -234,27 +246,36 @@ class TestRunGa:
             m = LayerMask(tuple(rnd.sample(range(1, 9), k)), 8)
             s = rnd.randrange(256)
             pattern = tuple(rnd.randint(0, 1) for _ in range(k))
-            got = run_ga(s, m, pattern, GaParams(), rnd.getrandbits(64))
+            bits = m.pack(pattern)
+            seed = rnd.getrandbits(64)
+            [got] = run_ga_batch([s], [bits], m, GaParams(), [seed]).tolist()
             assert m.unpack(got) == pattern
             d = distance(got, s, 8)
-            assert d <= distance(alter(s, m, pattern), s, 8)
-            optimal += d == distance(oracle_nearest(s, m, pattern), s, 8)
+            assert d <= distance(repair(s, m, bits), s, 8)
+            [best] = oracle_nearest([s], m, [bits]).tolist()
+            optimal += d == distance(best, s, 8)
         assert optimal / trials >= 0.97  # acceptance suite runs the full bar
 
     def test_best_fitness_monotone_and_population_constant(self):
         rnd = random.Random(8)
+        m = LayerMask((5,), 8)
+        samples, seeds, bests = [], [], []
         for _ in range(40):
-            m = LayerMask((5,), 8)
             s = rnd.randrange(256)
             seed = rnd.getrandbits(64)
-            value, history = reference_run_ga(s, m, (1,), GaParams(), seed)
+            best, history = reference_run_ga(s, m, (1,), GaParams(), seed)
             assert all(a <= b for a, b in zip(history, history[1:]))
-            assert run_ga(s, m, (1,), GaParams(), seed) == value
+            samples.append(s)
+            seeds.append(seed)
+            bests.append(best)
+        bits = [m.pack((1,))] * len(samples)
+        assert run_ga_batch(samples, bits, m, GaParams(), seeds).tolist() == bests
 
     def test_small_population_edge(self):
         # population 2 leaves no room for random members
-        got = run_ga(47, LayerMask((5,), 8), (1,), GaParams(population_size=2), 1)
-        assert LayerMask((5,), 8).unpack(got) == (1,)
+        m = LayerMask((5,), 8)
+        [got] = run_ga_batch([47], [m.pack((1,))], m, GaParams(population_size=2), [1])
+        assert m.unpack(int(got)) == (1,)
 
 
 class TestBatchEquivalence:
@@ -279,7 +300,6 @@ class TestBatchEquivalence:
             pattern = tuple(rnd.randint(0, 1) for _ in range(k))
             seed = rnd.getrandbits(64)
             scalar, _history = reference_run_ga(s, m, pattern, params, seed)
-            assert run_ga(s, m, pattern, params, seed) == scalar
             batch = run_ga_batch(
                 np.array([s], dtype=np.int64),
                 np.array([m.pack(pattern)], dtype=np.int64),

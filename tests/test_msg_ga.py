@@ -13,7 +13,6 @@ from gastego.msg_ga import (
     evolve,
     init_population,
     profile_message,
-    scarce_genes,
     set_fitness,
 )
 
@@ -70,39 +69,6 @@ class TestSetFitness:
 
     def test_disjoint(self):
         assert set_fitness((1, 2, 3), profile_message(b"A")) == 0
-
-
-class TestScarceGenes:
-    def test_direct_difference(self):
-        p = profile_message(b"AB")
-        assert scarce_genes(p, [(65, 65)]) == {66}
-
-    def test_covered_union_gives_empty(self):
-        p = profile_message(b"AB")
-        assert scarce_genes(p, [(65, 1), (66, 2)]) == set()
-
-    def test_matches_brute_force_recompute(self):
-        rnd = random.Random(3)
-        for _ in range(200):
-            msg = bytes(rnd.randrange(256) for _ in range(rnd.randint(1, 32)))
-            p = profile_message(msg)
-            pop = [
-                tuple(rnd.randrange(256) for _ in range(rnd.randint(1, 8)))
-                for _ in range(rnd.randint(1, 10))
-            ]
-            union = set()
-            for ind in pop:
-                union |= set(ind)
-            assert scarce_genes(p, pop) == p.distinct - union
-
-    def test_disjoint_from_population_union(self):
-        rnd = random.Random(4)
-        for _ in range(100):
-            msg = bytes(rnd.randrange(200) for _ in range(rnd.randint(1, 32)))
-            p = profile_message(msg)
-            pop = [tuple(rnd.randrange(256) for _ in range(6)) for _ in range(6)]
-            scarce = scarce_genes(p, pop)
-            assert all(all(v not in ind for ind in pop) for v in scarce)
 
 
 class TestEvolve:

@@ -9,6 +9,7 @@ import pytest
 from gastego import bitplane, ga_adjust, pipeline
 from gastego.cli import main
 from gastego.wav_io import AudioBuffer, parse_wav, write_wav
+from test_pipeline import TestKeyFile as KeyFileCases
 
 
 @pytest.fixture
@@ -168,6 +169,20 @@ class TestExitCodes:
         assert main(["extract", "--stego", str(out), "--key", str(key),
                      "--out", str(ws / "rec.bin")]) == 1
         assert "key file is not UTF-8 text" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("mutation", KeyFileCases.STRICT_MUTATIONS)
+    def test_strict_key_parsing_is_1(self, workspace, mutation, capsys):
+        # every key text the parser rejects is a parse failure, never a
+        # configuration problem; the golden text itself extracts
+        ws, cover_path, _msg = workspace
+        key = ws / "key.txt"
+        argv = ["extract", "--stego", str(cover_path), "--key", str(key),
+                "--out", str(ws / "rec.bin")]
+        key.write_text(KeyFileCases.GOLDEN_TEXT)
+        assert main(argv) == 0
+        key.write_text(mutation(KeyFileCases.GOLDEN_TEXT))
+        assert main(argv) == 1
+        assert "error:" in capsys.readouterr().err
 
     def test_malformed_wav_is_1(self, workspace):
         ws, cover_path, msg_path = workspace

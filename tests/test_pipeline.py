@@ -583,27 +583,28 @@ class TestKeyFile:
         )
         assert parse_key_file(format_key_file(key)) == key
 
-    @pytest.mark.parametrize(
-        "mutation",
-        [
-            lambda t: t + "extra = 1\n",                      # unknown field
-            lambda t: t + "mode = ga\n",                      # duplicate
-            lambda t: t.replace("version = 1", "version = 2"),
-            lambda t: t.replace("seed = 0000000000001234", "seed = 1234"),
-            lambda t: t.replace("seed = 0000000000001234", "seed = 00000000000012ZZ"),
-            lambda t: t.replace("layers = 1,5", "layers = 5,1"),
-            lambda t: t.replace("layers = 1,5", "layers = 0"),
-            lambda t: t.replace("mode = ga", "mode = turbo"),
-            lambda t: t.replace("threshold = inf", "threshold = -3"),
-            lambda t: t.replace("threshold = inf", "threshold = soon"),
-            lambda t: t.replace("ga_pc = 0.8", "ga_pc = 1.5"),
-            lambda t: t.replace("payload_len = 42", "payload_len = -1"),
-            lambda t: t.replace("skipped = 17,130", "skipped = 130,17"),
-            lambda t: t.replace("skipped = 17,130", "skipped = a,b"),
-            lambda t: "\n".join(t.splitlines()[:-1]) + "\n",  # missing field
-            lambda t: t.replace("version = 1\n", "version 1\n"),
-        ],
-    )
+    # each turns GOLDEN_TEXT into a text the parser must reject
+    # (tests/test_cli.py runs them through `gastego extract` too)
+    STRICT_MUTATIONS = [
+        lambda t: t + "extra = 1\n",                      # unknown field
+        lambda t: t + "mode = ga\n",                      # duplicate
+        lambda t: t.replace("version = 1", "version = 2"),
+        lambda t: t.replace("seed = 0000000000001234", "seed = 1234"),
+        lambda t: t.replace("seed = 0000000000001234", "seed = 00000000000012ZZ"),
+        lambda t: t.replace("layers = 1,5", "layers = 5,1"),
+        lambda t: t.replace("layers = 1,5", "layers = 0"),
+        lambda t: t.replace("mode = ga", "mode = turbo"),
+        lambda t: t.replace("threshold = inf", "threshold = -3"),
+        lambda t: t.replace("threshold = inf", "threshold = soon"),
+        lambda t: t.replace("ga_pc = 0.8", "ga_pc = 1.5"),
+        lambda t: t.replace("payload_len = 42", "payload_len = -1"),
+        lambda t: t.replace("skipped = 17,130", "skipped = 130,17"),
+        lambda t: t.replace("skipped = 17,130", "skipped = a,b"),
+        lambda t: "\n".join(t.splitlines()[:-1]) + "\n",  # missing field
+        lambda t: t.replace("version = 1\n", "version 1\n"),
+    ]
+
+    @pytest.mark.parametrize("mutation", STRICT_MUTATIONS)
     def test_strict_parsing(self, mutation):
         with pytest.raises(KeyParseError):
             parse_key_file(mutation(self.GOLDEN_TEXT))

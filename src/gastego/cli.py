@@ -27,6 +27,7 @@ from .errors import (
     KeyMismatch,
     KeyParseError,
     OversizeOutput,
+    SnrNotDefined,
     StegoError,
     UnreachableOptimum,
 )
@@ -40,6 +41,7 @@ _CONFIG_ERRORS = (
     UnreachableOptimum,
     EmptyMessage,
     OversizeOutput,
+    SnrNotDefined,
     ValueError,
 )
 
@@ -129,13 +131,6 @@ def _parse_layers(text: str, bit_depth: int) -> LayerMask:
     return LayerMask(layers, bit_depth)
 
 
-def _parse_threshold(text: str):
-    if text == "inf":
-        return float("inf")
-    value = int(text)
-    return value
-
-
 def cmd_embed(args) -> int:
     cover = wav_io.parse_wav(_read(args.cover))
     message = _read(args.message)
@@ -148,7 +143,7 @@ def cmd_embed(args) -> int:
         mask=_parse_layers(args.layers, cover.bit_depth),
         key=key,
         mode=args.mode,
-        threshold=_parse_threshold(args.threshold),
+        threshold=pipeline.parse_threshold(args.threshold),
         ga_params=GaParams(
             population_size=args.ga_pop,
             generations=args.ga_gens,

@@ -3,8 +3,8 @@
 One audio sample is the chromosome and each raw bit is a gene. The target
 layers are frozen to the payload bits; everything else evolves to minimize
 the distance to the original sample. Because the plain altered sample seeds
-the first generation and elites survive unchanged, the result is never worse
-than plain substitution.
+the first generation and the fittest member (the one elite) survives each
+generation unchanged, the result is never worse than plain substitution.
 
 Parent selection is a seeded two-way tournament: draw two members, keep the
 fitter (ties to the smaller sample value). Deterministic top-two selection
@@ -47,7 +47,6 @@ class GaParams:
     generations: int = 64
     crossover_prob: float = 0.8
     mutation_prob: float = 0.10
-    elitism_count: int = 1
 
     def __post_init__(self):
         if self.population_size < 2:
@@ -58,8 +57,6 @@ class GaParams:
             raise ValueError("crossover_prob must be in [0, 1]")
         if not 0.0 <= self.mutation_prob <= 1.0:
             raise ValueError("mutation_prob must be in [0, 1]")
-        if not 1 <= self.elitism_count < self.population_size:
-            raise ValueError("elitism_count must be in [1, population_size)")
 
 
 def run_ga_batch(
@@ -86,8 +83,8 @@ def run_ga_batch(
     bias = np.int64(1 << 15 if bd == 16 else 0)
     pc_thr = _prob_threshold(params.crossover_prob)
     pm_thr = _prob_threshold(params.mutation_prob)
-    P, E = params.population_size, params.elitism_count
-    need = P - E
+    P = params.population_size
+    need = P - 1  # offspring per generation; the fittest member survives
     pairs = (need + 1) // 2
     draws_per_pair = 6 + 2 * bd
     locus_weights = np.int64(1) << np.arange(bd, dtype=np.int64)
@@ -180,7 +177,7 @@ def run_ga_batch(
             )
         children = breed(pop, key, seeds, pattern_bits, offset + 1)
         offset += pairs * draws_per_pair
-        pop = np.concatenate([pop[:, :E], children], axis=1)
+        pop = np.concatenate([pop[:, :1], children], axis=1)
 
     fittest = sort_key(pop, orig_b).argmin(axis=1)[:, None]
     best[live] = np.take_along_axis(pop, fittest, axis=1)[:, 0]

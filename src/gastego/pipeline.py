@@ -79,26 +79,23 @@ class EmbedConfig:
     def __post_init__(self):
         if self.mode not in MODES:
             raise ValueError(f"mode must be one of {MODES}, got {self.mode!r}")
-        _check_threshold(self.threshold)
+        t = self.threshold
+        finite = isinstance(t, int) and not isinstance(t, bool) and t >= 0
+        if not (finite or isinstance(t, float) and t == math.inf):
+            raise ValueError(
+                f"threshold must be a non-negative integer or infinity, got {t!r}"
+            )
 
 
 @dataclass(frozen=True)
 class StegoKey:
-    """Everything extraction needs; serializable via format_key_file."""
+    """Everything extraction needs: the embed's config plus what embed decided."""
 
-    key: MasterKey
-    mask: LayerMask
-    mode: str
-    threshold: int | float
-    ga_params: GaParams
+    config: EmbedConfig
     payload_len_bytes: int
     skipped_indices: tuple[int, ...]
-    format_version: int = KEY_FORMAT_VERSION
 
     def __post_init__(self):
-        if self.mode not in MODES:
-            raise ValueError(f"mode must be one of {MODES}, got {self.mode!r}")
-        _check_threshold(self.threshold)
         if self.payload_len_bytes < 0:
             raise ValueError("payload_len_bytes must be >= 0")
         skipped = tuple(self.skipped_indices)
@@ -126,14 +123,9 @@ class EmbedReport:
         return d
 
 
-def _check_threshold(threshold) -> None:
-    if isinstance(threshold, float) and math.isinf(threshold) and threshold > 0:
-        return
-    if isinstance(threshold, int) and not isinstance(threshold, bool) and threshold >= 0:
-        return
-    raise ValueError(
-        f"threshold must be a non-negative integer or infinity, got {threshold!r}"
-    )
+def parse_threshold(text: str) -> int | float:
+    """A threshold as the CLI and the key file write it: an integer or "inf"."""
+    return math.inf if text == "inf" else int(text)
 
 
 def capacity_bits(buffer: AudioBuffer, mask: LayerMask) -> int:
@@ -251,15 +243,7 @@ def embed(
             window = 2 * width
 
     stego = AudioBuffer(stego_values, bit_depth, cover.sample_rate, cover.channels)
-    key = StegoKey(
-        key=config.key,
-        mask=mask,
-        mode=config.mode,
-        threshold=config.threshold,
-        ga_params=config.ga_params,
-        payload_len_bytes=len(message),
-        skipped_indices=tuple(sorted(skipped)),
-    )
+    key = StegoKey(config, len(message), tuple(sorted(skipped)))
     report = EmbedReport(
         samples_used=m,
         samples_skipped=len(skipped),
@@ -272,19 +256,22 @@ def embed(
 
 def extract(stego: AudioBuffer, key: StegoKey) -> bytes:
     """Recover the message bytes using the stego key; inverse of embed."""
-    if key.mask.bit_depth != stego.bit_depth:
+    mask = key.config.mask
+    if mask.bit_depth != stego.bit_depth:
         raise BitDepthMismatch(
-            f"key is {key.mask.bit_depth}-bit but stego is {stego.bit_depth}-bit"
+            f"key is {mask.bit_depth}-bit but stego is {stego.bit_depth}-bit"
         )
     if key.payload_len_bytes == 0:
         return b""
     n = len(stego.samples)
-    k = key.mask.k
+    k = mask.k
     m = -(-8 * key.payload_len_bytes // k)  # groups, padded like embed
     # at most len(skipped) of the first m + len(skipped) walk positions are
     # skipped, so that prefix holds every sample the payload used
     skipped = np.asarray(key.skipped_indices, dtype=np.int64)
-    perm = np.asarray(permute_indices(n, key.key, m + len(skipped)), dtype=np.int64)
+    perm = np.asarray(
+        permute_indices(n, key.config.key, m + len(skipped)), dtype=np.int64
+    )
     used = perm[~np.isin(perm, skipped)][:m]
     if len(used) < m:
         raise KeyMismatch(
@@ -292,11 +279,11 @@ def extract(stego: AudioBuffer, key: StegoKey) -> bytes:
             f"stego buffer yields only {len(used)} usable samples of {m}"
         )
     raw = stego.samples[used] & ((1 << stego.bit_depth) - 1)
-    shifts = np.array([layer - 1 for layer in key.mask.layers], dtype=np.int64)
+    shifts = np.array([layer - 1 for layer in mask.layers], dtype=np.int64)
     bits = (raw[:, None] >> shifts[None, :]) & 1
     flat = bits.reshape(-1)[: 8 * key.payload_len_bytes]
     ciphertext = np.packbits(flat.astype(np.uint8)).tobytes()
-    return xor_keystream(ciphertext, key.key)
+    return xor_keystream(ciphertext, key.config.key)
 
 
 def _pattern_groups(ciphertext: bytes, mask: LayerMask) -> np.ndarray:
@@ -356,18 +343,19 @@ _KEY_FIELDS = (
 
 def format_key_file(key: StegoKey) -> str:
     """Render a StegoKey in the documented key file format."""
-    threshold = "inf" if math.isinf(key.threshold) else str(key.threshold)
+    c = key.config
+    threshold = "inf" if math.isinf(c.threshold) else str(c.threshold)
     lines = [
-        f"version = {key.format_version}",
-        f"seed = {key.key.hex()}",
-        f"bit_depth = {key.mask.bit_depth}",
-        f"layers = {','.join(str(l) for l in key.mask.layers)}",
-        f"mode = {key.mode}",
+        f"version = {KEY_FORMAT_VERSION}",
+        f"seed = {c.key.hex()}",
+        f"bit_depth = {c.mask.bit_depth}",
+        f"layers = {','.join(str(l) for l in c.mask.layers)}",
+        f"mode = {c.mode}",
         f"threshold = {threshold}",
-        f"ga_pop = {key.ga_params.population_size}",
-        f"ga_gens = {key.ga_params.generations}",
-        f"ga_pc = {key.ga_params.crossover_prob!r}",
-        f"ga_pm = {key.ga_params.mutation_prob!r}",
+        f"ga_pop = {c.ga_params.population_size}",
+        f"ga_gens = {c.ga_params.generations}",
+        f"ga_pc = {c.ga_params.crossover_prob!r}",
+        f"ga_pm = {c.ga_params.mutation_prob!r}",
         f"payload_len = {key.payload_len_bytes}",
         f"skipped = {','.join(str(i) for i in key.skipped_indices)}",
     ]
@@ -375,7 +363,13 @@ def format_key_file(key: StegoKey) -> str:
 
 
 def parse_key_file(text: str) -> StegoKey:
-    """Parse the documented key file format; strict about fields and values."""
+    """Parse the documented key file format.
+
+    The parser enforces the text rules: line syntax, the twelve fields each
+    exactly once, the version, 16 lowercase hex digits of seed and ascending
+    layers. Every value range is checked by the constructors (LayerMask,
+    GaParams, EmbedConfig, StegoKey), whose ValueError becomes KeyParseError.
+    """
     fields: dict[str, str] = {}
     for lineno, line in enumerate(text.splitlines(), start=1):
         if not line.strip():
@@ -393,74 +387,36 @@ def parse_key_file(text: str) -> StegoKey:
     if missing:
         raise KeyParseError(f"missing fields: {', '.join(missing)}")
 
-    def intval(name, minval=None):
+    def read(name, convert=int):
         try:
-            v = int(fields[name])
+            return convert(fields[name])
         except ValueError:
-            raise KeyParseError(f"field {name}: {fields[name]!r} is not an integer")
-        if minval is not None and v < minval:
-            raise KeyParseError(f"field {name}: {v} below minimum {minval}")
-        return v
+            raise KeyParseError(f"field {name}: cannot read {fields[name]!r}") from None
 
-    def floatval(name):
-        try:
-            v = float(fields[name])
-        except ValueError:
-            raise KeyParseError(f"field {name}: {fields[name]!r} is not a number")
-        if not 0.0 <= v <= 1.0:
-            raise KeyParseError(f"field {name}: {v} outside [0, 1]")
-        return v
+    def ints(name):
+        return read(name, lambda t: tuple(int(x) for x in t.split(",")) if t else ())
 
-    if intval("version") != KEY_FORMAT_VERSION:
-        raise KeyParseError(
-            f"unsupported key format version {fields['version']}"
-        )
+    if read("version") != KEY_FORMAT_VERSION:
+        raise KeyParseError(f"unsupported key format version {fields['version']}")
     seed_text = fields["seed"]
     if len(seed_text) != 16 or any(c not in "0123456789abcdef" for c in seed_text):
         raise KeyParseError("field seed: expected 16 lowercase hex digits")
-    bit_depth = intval("bit_depth")
+    layers = ints("layers")
+    if list(layers) != sorted(layers):
+        raise KeyParseError("field layers: must be ascending")
     try:
-        layer_list = tuple(int(x) for x in fields["layers"].split(","))
-        mask = LayerMask(layer_list, bit_depth)
-        if layer_list != mask.layers:
-            raise KeyParseError("field layers: must be ascending")
-    except KeyParseError:
-        raise
-    except ValueError as exc:
-        raise KeyParseError(f"field layers/bit_depth: {exc}")
-    mode = fields["mode"]
-    if mode not in MODES:
-        raise KeyParseError(f"field mode: {mode!r} not one of {MODES}")
-    if fields["threshold"] == "inf":
-        threshold: int | float = math.inf
-    else:
-        threshold = intval("threshold", minval=0)
-    try:
-        ga = GaParams(
-            population_size=intval("ga_pop"),
-            generations=intval("ga_gens"),
-            crossover_prob=floatval("ga_pc"),
-            mutation_prob=floatval("ga_pm"),
-        )
-    except ValueError as exc:
-        raise KeyParseError(f"ga parameters: {exc}")
-    payload_len = intval("payload_len", minval=0)
-    if fields["skipped"]:
-        try:
-            skipped = tuple(int(x) for x in fields["skipped"].split(","))
-        except ValueError:
-            raise KeyParseError("field skipped: expected comma-separated integers")
-    else:
-        skipped = ()
-    try:
-        return StegoKey(
+        config = EmbedConfig(
+            mask=LayerMask(layers, read("bit_depth")),
             key=MasterKey(int(seed_text, 16)),
-            mask=mask,
-            mode=mode,
-            threshold=threshold,
-            ga_params=ga,
-            payload_len_bytes=payload_len,
-            skipped_indices=skipped,
+            mode=fields["mode"],
+            threshold=read("threshold", parse_threshold),
+            ga_params=GaParams(
+                population_size=read("ga_pop"),
+                generations=read("ga_gens"),
+                crossover_prob=read("ga_pc", float),
+                mutation_prob=read("ga_pm", float),
+            ),
         )
+        return StegoKey(config, read("payload_len"), ints("skipped"))
     except ValueError as exc:
-        raise KeyParseError(str(exc))
+        raise KeyParseError(str(exc)) from exc

@@ -132,6 +132,13 @@ class TestExitCodes:
         )
         assert code == 2
 
+    @pytest.mark.parametrize("threshold", ["-3", "abc"])
+    def test_bad_threshold_is_2(self, workspace, threshold):
+        ws, cover_path, msg_path = workspace
+        code, out, _ = run_embed(ws, cover_path, msg_path, "--threshold", threshold)
+        assert code == 2
+        assert not out.exists()
+
     def test_oversize_output_is_2(self, workspace, monkeypatch, capsys):
         # a stego too large for the RIFF size fields: one broadcast zero, so
         # nothing that large is allocated
@@ -142,6 +149,17 @@ class TestExitCodes:
         assert code == 2
         assert "error:" in capsys.readouterr().err
         assert not out.exists()
+
+    def test_silent_cover_is_2(self, workspace, capsys):
+        # an embed that changes an all-zero cover has no defined SNR: a
+        # configuration problem, and no output file is written
+        ws, _cover, msg_path = workspace
+        silent = ws / "silent.wav"
+        silent.write_bytes(write_wav(AudioBuffer([0] * 4000, 16, 8000, 1)))
+        code, out, key = run_embed(ws, silent, msg_path, "--mode", "plain")
+        assert code == 2
+        assert "zero energy" in capsys.readouterr().err
+        assert not out.exists() and not key.exists()
 
     def test_truncated_stego_is_key_mismatch_3(self, workspace):
         ws, cover_path, msg_path = workspace

@@ -80,7 +80,7 @@ def reference_run_ga(sample, mask, pattern, params, seed):
     pop = [repair(sample, mask, pattern_bits)] * 2
     pop += [repair(rng.next_below(1 << bd), mask, pattern_bits) for _ in range(P - 2)]
 
-    need = P - params.elitism_count
+    need = P - 1  # one elite
     pairs = (need + 1) // 2
     history = []
 
@@ -91,7 +91,7 @@ def reference_run_ga(sample, mask, pattern, params, seed):
             history.append(best_fit)
         if best_fit == 0:
             break
-        elites = pop[: params.elitism_count]
+        elites = pop[:1]
         offspring = []
         for _ in range(pairs):
             ca, cb = pop[rng.next_below(P)], pop[rng.next_below(P)]
@@ -122,7 +122,6 @@ class TestGaParams:
         assert p.generations == 64
         assert p.crossover_prob == 0.8
         assert p.mutation_prob == 0.10
-        assert p.elitism_count == 1
 
     @pytest.mark.parametrize(
         "kwargs",
@@ -131,8 +130,6 @@ class TestGaParams:
             dict(generations=0),
             dict(crossover_prob=1.5),
             dict(mutation_prob=-0.1),
-            dict(elitism_count=0),
-            dict(population_size=4, elitism_count=4),
         ],
     )
     def test_validation(self, kwargs):
@@ -283,10 +280,10 @@ class TestBatchEquivalence:
         GaParams(),
         GaParams(population_size=2, generations=3),
         GaParams(population_size=5, generations=10, crossover_prob=0.0,
-                 mutation_prob=1.0, elitism_count=2),
+                 mutation_prob=1.0),
         GaParams(population_size=16, generations=8, crossover_prob=1.0,
                  mutation_prob=0.0),
-        GaParams(population_size=7, generations=5, elitism_count=3),
+        GaParams(population_size=7, generations=5),
     ]
 
     @pytest.mark.parametrize("params", PARAM_GRID)

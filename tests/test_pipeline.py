@@ -1,5 +1,6 @@
 """Embed/extract orchestration: round trips, thresholds, metrics, key files."""
 
+import dataclasses
 import hashlib
 import math
 import random
@@ -477,9 +478,8 @@ class TestDominance:
 class TestExtractErrors:
     def test_zero_payload(self):
         key = StegoKey(
-            key=MasterKey(1), mask=LayerMask((1,), 16), mode="plain",
-            threshold=math.inf, ga_params=GaParams(), payload_len_bytes=0,
-            skipped_indices=(),
+            EmbedConfig(mask=LayerMask((1,), 16), key=MasterKey(1), mode="plain"),
+            payload_len_bytes=0, skipped_indices=(),
         )
         assert extract(AudioBuffer([1, 2, 3], 16, 8000, 1), key) == b""
 
@@ -516,9 +516,8 @@ class TestExtractErrors:
 
     def test_bit_depth_mismatch(self):
         key = StegoKey(
-            key=MasterKey(1), mask=LayerMask((1,), 8), mode="plain",
-            threshold=math.inf, ga_params=GaParams(), payload_len_bytes=1,
-            skipped_indices=(),
+            EmbedConfig(mask=LayerMask((1,), 8), key=MasterKey(1), mode="plain"),
+            payload_len_bytes=1, skipped_indices=(),
         )
         with pytest.raises(BitDepthMismatch):
             extract(AudioBuffer([0] * 50, 16, 8000, 1), key)
@@ -530,10 +529,8 @@ class TestExtractErrors:
         stego, key, _ = embed(
             cover, msg, EmbedConfig(mask=LayerMask((1,), 16), key=MasterKey(42))
         )
-        wrong = StegoKey(
-            key=MasterKey(43), mask=key.mask, mode=key.mode, threshold=key.threshold,
-            ga_params=key.ga_params, payload_len_bytes=key.payload_len_bytes,
-            skipped_indices=key.skipped_indices,
+        wrong = dataclasses.replace(
+            key, config=dataclasses.replace(key.config, key=MasterKey(43))
         )
         recovered = extract(stego, wrong)
         matches = sum(a == b for a, b in zip(recovered, msg))
@@ -544,11 +541,13 @@ class TestExtractErrors:
 class TestKeyFile:
     def golden_key(self):
         return StegoKey(
-            key=MasterKey(0x1234),
-            mask=LayerMask((1, 5), 16),
-            mode="ga",
-            threshold=math.inf,
-            ga_params=GaParams(),
+            EmbedConfig(
+                mask=LayerMask((1, 5), 16),
+                key=MasterKey(0x1234),
+                mode="ga",
+                threshold=math.inf,
+                ga_params=GaParams(),
+            ),
             payload_len_bytes=42,
             skipped_indices=(17, 130),
         )
@@ -576,9 +575,11 @@ class TestKeyFile:
 
     def test_round_trip_with_finite_threshold_and_empty_skips(self):
         key = StegoKey(
-            key=MasterKey(2**64 - 1), mask=LayerMask((8,), 8), mode="plain",
-            threshold=12, ga_params=GaParams(population_size=5, generations=9,
-                                             crossover_prob=1.0, mutation_prob=0.0),
+            EmbedConfig(
+                mask=LayerMask((8,), 8), key=MasterKey(2**64 - 1), mode="plain",
+                threshold=12, ga_params=GaParams(population_size=5, generations=9,
+                                                 crossover_prob=1.0, mutation_prob=0.0),
+            ),
             payload_len_bytes=0, skipped_indices=(),
         )
         assert parse_key_file(format_key_file(key)) == key

@@ -2,12 +2,14 @@
 
 import hashlib
 import random
+from collections import Counter
 
 import pytest
 
 from gastego.errors import EmptyMessage, UnreachableOptimum
-from gastego.keystream import SplitMix64
+from gastego.keystream import MasterKey, SplitMix64, derive_seed
 from gastego.msg_ga import (
+    EvolveResult,
     MsgGaParams,
     derive_key_from_genes,
     evolve,
@@ -15,6 +17,99 @@ from gastego.msg_ga import (
     profile_message,
     set_fitness,
 )
+
+
+def reference_evolve(message, params=MsgGaParams()):
+    """The message GA one step at a time: the naive reference for evolve.
+
+    It draws every initial gene with its own next_below, re-sorts the
+    population each generation (fittest first, ties in insertion order),
+    counts genes in a Counter and picks the best and the two members to kill
+    by scanning the whole population. evolve must agree with it in every
+    output field.
+    """
+    profile = profile_message(message)
+    target = len(profile.distinct)
+    L = params.population_size or max(2, len(message))
+    n = params.genes_per_individual or target
+    if n < target:
+        raise UnreachableOptimum(f"{n} genes cannot cover {target} values")
+
+    rng = SplitMix64(derive_seed(MasterKey(params.seed), "msg-ga", 0))
+    span = profile.max_val - profile.min_val + 1
+    pop = [
+        tuple(profile.min_val + rng.next_below(span) for _ in range(n))
+        for _ in range(L)
+    ]
+    fits = [set_fitness(ind, profile) for ind in pop]
+    counts = Counter(g for ind in pop for g in ind)
+    missing = {v for v in profile.distinct if counts[v] == 0}
+
+    def note_insert(ind):
+        for g in ind:
+            counts[g] += 1
+            missing.discard(g)
+
+    def note_discard(ind):
+        for g in ind:
+            counts[g] -= 1
+            if counts[g] == 0 and g in profile.distinct:
+                missing.add(g)
+
+    def mutate(child):
+        if not missing:
+            return child
+        child_counts = Counter(child)
+        slots = [
+            i
+            for i, g in enumerate(child)
+            if g not in profile.distinct or child_counts[g] > 1
+        ]
+        if not slots:
+            slots = list(range(n))
+        pos = slots[rng.next_below(len(slots))]
+        pool = sorted(missing)
+        gene = pool[rng.next_below(len(pool))]
+        return child[:pos] + (gene,) + child[pos + 1 :]
+
+    history = [max(fits)]
+    sizes = [len(pop)]
+    generations = 0
+    while history[-1] < target and generations < params.max_generations:
+        generations += 1
+        order = sorted(range(len(pop)), key=lambda i: -fits[i])
+        pop = [pop[i] for i in order]
+        fits = [fits[i] for i in order]
+        p1, p2 = pop[0], pop[1]
+        if n > 1:
+            cut = 1 + rng.next_below(n - 1)
+            o1 = p1[:cut] + p2[cut:]
+            o2 = p2[:cut] + p1[cut:]
+        else:
+            o1, o2 = p1, p2
+        o1 = mutate(o1)
+        note_insert(o1)
+        o2 = mutate(o2)
+        note_insert(o2)
+        pop += [o1, o2]
+        fits += [set_fitness(o1, profile), set_fitness(o2, profile)]
+        best_ind = pop[max(range(len(pop)), key=lambda i: (fits[i], -i))]
+        kill = sorted(
+            range(len(pop)), key=lambda i: (fits[i], pop[i] == best_ind, i)
+        )[:2]
+        for i in sorted(kill, reverse=True):
+            note_discard(pop[i])
+            del pop[i], fits[i]
+        history.append(max(fits))
+        sizes.append(len(pop))
+
+    best_i = max(range(len(pop)), key=lambda i: (fits[i], -i))
+    return EvolveResult(pop[best_i], fits[best_i], target, generations, history, sizes)
+
+
+def outputs(res):
+    return (res.best, res.best_fitness, res.target_fitness, res.generations,
+            res.fitness_history, res.population_sizes)
 
 
 class TestProfileMessage:
@@ -58,6 +153,29 @@ class TestInitPopulation:
             assert len(pop) == 9
             assert all(len(ind) == 5 for ind in pop)
             assert all(p.min_val <= g <= p.max_val for ind in pop for g in ind)
+
+
+    @pytest.mark.parametrize("message", [
+        b"AAAA",                    # span 1
+        bytes(range(256)),          # span 256
+        b"0123456789:;<=>?@xyz",    # span 75
+    ])
+    def test_matches_one_draw_per_gene(self, message):
+        # same individuals as one next_below per gene, row-major, and the
+        # stream left where that loop leaves it, so later draws stay in step
+        p = profile_message(message)
+        span = p.max_val - p.min_val + 1
+        for seed, size, genes in [(0, 2, 1), (7, 5, 3), (2**64 - 1, 13, 40)]:
+            rng, scalar = SplitMix64(seed), SplitMix64(seed)
+            pop = init_population(p, size, genes, rng)
+            expected = [
+                tuple(p.min_val + scalar.next_below(span) for _ in range(genes))
+                for _ in range(size)
+            ]
+            assert pop == expected
+            assert all(type(g) is int for ind in pop for g in ind)
+            assert rng.state == scalar.state
+            assert rng.next64() == scalar.next64()
 
 
 class TestSetFitness:
@@ -122,6 +240,63 @@ class TestEvolve:
             p = profile_message(msg)
             res = evolve(msg, MsgGaParams(seed=rnd.getrandbits(64)))
             assert all(p.min_val <= g <= p.max_val for g in res.best)
+
+
+class TestReferenceEvolve:
+    """evolve against the naive reference_evolve on many small cases."""
+
+    def cases(self):
+        rnd = random.Random(13)
+        for k in range(240):
+            kind = k % 6
+            if kind == 0:    # the smallest population
+                msg = bytes(rnd.randrange(256) for _ in range(rnd.randint(2, 12)))
+                params = MsgGaParams(population_size=2, seed=rnd.getrandbits(64))
+            elif kind == 1:  # one gene: only a one-valued message allows it
+                msg = bytes([rnd.randrange(256)]) * rnd.randint(1, 6)
+                params = MsgGaParams(genes_per_individual=1,
+                                     population_size=rnd.choice([None, 2, 5]),
+                                     seed=rnd.getrandbits(64))
+            elif kind == 2:  # more genes than distinct values
+                msg = bytes(rnd.randrange(40, 60) for _ in range(rnd.randint(2, 24)))
+                params = MsgGaParams(
+                    genes_per_individual=len(set(msg)) + rnd.randint(1, 30),
+                    population_size=rnd.choice([None, 3, 8]),
+                    seed=rnd.getrandbits(64),
+                )
+            elif kind == 3:  # cut off by max_generations
+                msg = bytes(rnd.randrange(256) for _ in range(rnd.randint(20, 40)))
+                params = MsgGaParams(max_generations=rnd.randint(1, 8),
+                                     seed=rnd.getrandbits(64))
+            else:            # defaults, narrow and full byte ranges
+                hi = rnd.choice([2, 16, 256])
+                msg = bytes(rnd.randrange(hi) for _ in range(rnd.randint(1, 40)))
+                params = MsgGaParams(seed=rnd.getrandbits(64))
+            yield msg, params
+
+    def test_agrees_with_reference(self):
+        seen = Counter()
+        for msg, params in self.cases():
+            ref = reference_evolve(msg, params)
+            assert outputs(evolve(msg, params)) == outputs(ref), (msg, params)
+            seen["pop2"] += params.population_size == 2 and ref.generations > 0
+            seen["one gene"] += params.genes_per_individual == 1
+            seen["extra genes"] += (
+                (params.genes_per_individual or 0) > ref.target_fitness
+                and ref.generations > 0
+            )
+            seen["cut off"] += ref.best_fitness < ref.target_fitness
+        # every kind of case was exercised, not merely generated
+        assert min(seen.values()) >= 10, seen
+
+    def test_one_gene_cases_stop_at_generation_zero(self):
+        # one gene covers one distinct value only, so the message has a
+        # single value, every initial gene is that value and the generation
+        # loop (with its one-gene crossover branch) never runs
+        for msg, params in self.cases():
+            if params.genes_per_individual == 1:
+                res = evolve(msg, params)
+                assert res.generations == 0 and res.best == (msg[0],)
 
 
 class TestGoldenEvolve:

@@ -20,17 +20,32 @@ settled empirically (see the repo's test suite for the evidence):
   members return to the scarce pool instead of being sheltered forever, which
   is the only way new material ever reaches the breeding pair.
 
+The population is kept ordered, fittest first with ties in insertion order,
+so a generation touches only the two offspring and the two members it kills:
+each offspring is inserted after every member of equal fitness, the two kills
+come from the least-fit run at the tail, and the best is always the first
+member. Gene counts live in a 256-entry list, since genes are byte values.
+
 This GA stands alone; optionally its winner can be folded into a master key
 seed for the embedding pipeline (see derive_key_from_genes).
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
 from collections import Counter
 from dataclasses import dataclass, field
 
 from .errors import EmptyMessage, UnreachableOptimum
-from .keystream import MasterKey, SplitMix64, derive_seed
+from .keystream import (
+    GAMMA,
+    MASK64,
+    MasterKey,
+    SplitMix64,
+    _mulhi_small,
+    derive_seed,
+    stream_outputs,
+)
 
 
 @dataclass(frozen=True)
@@ -86,12 +101,17 @@ def profile_message(message: bytes) -> MessageProfile:
 def init_population(
     profile: MessageProfile, size: int, genes: int, rng: SplitMix64
 ) -> list[Individual]:
-    """size individuals of `genes` uniform draws from [min_val, max_val]."""
+    """size individuals of `genes` uniform draws from [min_val, max_val].
+
+    Row-major, one rng.next_below(span) per gene, read as one block of the
+    stream; rng is left where those draws leave it.
+    """
     span = profile.max_val - profile.min_val + 1
-    return [
-        tuple(profile.min_val + rng.next_below(span) for _ in range(genes))
-        for _ in range(size)
-    ]
+    count = size * genes
+    draws = _mulhi_small(stream_outputs(rng.state, 1, count), span)
+    rng.state = (rng.state + count * GAMMA) & MASK64
+    flat = (draws + profile.min_val).tolist()
+    return [tuple(flat[i : i + genes]) for i in range(0, count, genes)]
 
 
 def set_fitness(individual: Individual, profile: MessageProfile) -> int:
@@ -117,22 +137,31 @@ def evolve(message: bytes, params: MsgGaParams = MsgGaParams()) -> EvolveResult:
 
     rng = SplitMix64(derive_seed(MasterKey(params.seed), "msg-ga", 0))
     pop = init_population(profile, L, n, rng)
-    fits = [set_fitness(ind, profile) for ind in pop]
+    # fittest first, ties in insertion order; neg holds the negated fitnesses
+    # so that bisect_right places a newcomer after every equal member
+    neg = [-set_fitness(ind, profile) for ind in pop]
+    order = sorted(range(L), key=neg.__getitem__)
+    pop = [pop[i] for i in order]
+    neg = [neg[i] for i in order]
     # Gene counts across the population, kept incrementally so the scarce-set
     # query is O(changes) per generation instead of O(L * n).
-    counts: Counter[int] = Counter(g for ind in pop for g in ind)
-    missing = {v for v in profile.distinct if counts[v] == 0}
+    counts = [0] * 256
+    missing = set(profile.distinct)
 
     def note_insert(ind: Individual) -> None:
         for g in ind:
             counts[g] += 1
-            missing.discard(g)
+        missing.difference_update(ind)
 
     def note_discard(ind: Individual) -> None:
         for g in ind:
             counts[g] -= 1
-            if counts[g] == 0 and g in profile.distinct:
-                missing.add(g)
+        missing.update(
+            g for g in set(ind) if counts[g] == 0 and g in profile.distinct
+        )
+
+    for ind in pop:
+        note_insert(ind)
 
     def mutate(child: Individual) -> Individual:
         if not missing:
@@ -150,42 +179,36 @@ def evolve(message: bytes, params: MsgGaParams = MsgGaParams()) -> EvolveResult:
         gene = pool[rng.next_below(len(pool))]
         return child[:pos] + (gene,) + child[pos + 1 :]
 
-    history = [max(fits)]
+    history = [-neg[0]]
     sizes = [len(pop)]
     generations = 0
     while history[-1] < target and generations < params.max_generations:
         generations += 1
-        # stable order: fittest first, insertion order breaks ties
-        order = sorted(range(len(pop)), key=lambda i: -fits[i])
-        pop = [pop[i] for i in order]
-        fits = [fits[i] for i in order]
+        # target >= 2 here (one distinct value fits every individual from the
+        # start), so n >= 2 and there is a cut point
         p1, p2 = pop[0], pop[1]
-        if n > 1:
-            cut = 1 + rng.next_below(n - 1)
-            o1 = p1[:cut] + p2[cut:]
-            o2 = p2[:cut] + p1[cut:]
-        else:
-            o1, o2 = p1, p2
+        cut = 1 + rng.next_below(n - 1)
         # scarce set is re-derived before each offspring's mutation, so the
         # second offspring sees what the first one just re-introduced
-        o1 = mutate(o1)
-        note_insert(o1)
-        o2 = mutate(o2)
-        note_insert(o2)
-        pop += [o1, o2]
-        fits += [set_fitness(o1, profile), set_fitness(o2, profile)]
-        best_ind = pop[max(range(len(pop)), key=lambda i: (fits[i], -i))]
-        kill = sorted(
-            range(len(pop)), key=lambda i: (fits[i], pop[i] == best_ind, i)
-        )[:2]
-        for i in sorted(kill, reverse=True):
+        for child in (p1[:cut] + p2[cut:], p2[:cut] + p1[cut:]):
+            child = mutate(child)
+            note_insert(child)
+            f = -set_fitness(child, profile)
+            i = bisect_right(neg, f)
+            pop.insert(i, child)
+            neg.insert(i, f)
+        best = pop[0]
+        for _ in range(2):
+            # the first member of the least-fit run that is not a copy of the
+            # best, or the run's first member when every one is a copy
+            run = bisect_left(neg, neg[-1])
+            i = next((j for j in range(run, len(pop)) if pop[j] != best), run)
             note_discard(pop[i])
-            del pop[i], fits[i]
-        history.append(max(fits))
+            del pop[i], neg[i]
+        history.append(-neg[0])
         sizes.append(len(pop))
 
-    best_i = max(range(len(pop)), key=lambda i: (fits[i], -i))
-    return EvolveResult(pop[best_i], fits[best_i], target, generations, history, sizes)
+    return EvolveResult(pop[0], -neg[0], target, generations, history, sizes)
 
 
 def derive_key_from_genes(genes: Individual) -> MasterKey:

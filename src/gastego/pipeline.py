@@ -38,6 +38,9 @@ twelve fields below in any order, nothing else.
     payload_len = 42               bytes of message
     skipped = 17,130               rejected sample indices, may be empty
 
+Each value is read only in the spelling format_key_file writes: integers in
+plain ASCII digits, ga_pc and ga_pm as Python's repr of the float.
+
 The XOR keystream behind "seed" is obfuscation, not cryptography; treat the
 key file as the secret.
 """
@@ -341,23 +344,30 @@ _KEY_FIELDS = (
 )
 
 
+def _int_list_text(values) -> str:
+    return ",".join(str(v) for v in values)
+
+
+def _threshold_text(threshold: int | float) -> str:
+    return "inf" if math.isinf(threshold) else str(threshold)
+
+
 def format_key_file(key: StegoKey) -> str:
     """Render a StegoKey in the documented key file format."""
     c = key.config
-    threshold = "inf" if math.isinf(c.threshold) else str(c.threshold)
     lines = [
         f"version = {KEY_FORMAT_VERSION}",
         f"seed = {c.key.hex()}",
         f"bit_depth = {c.mask.bit_depth}",
-        f"layers = {','.join(str(l) for l in c.mask.layers)}",
+        f"layers = {_int_list_text(c.mask.layers)}",
         f"mode = {c.mode}",
-        f"threshold = {threshold}",
+        f"threshold = {_threshold_text(c.threshold)}",
         f"ga_pop = {c.ga_params.population_size}",
         f"ga_gens = {c.ga_params.generations}",
-        f"ga_pc = {c.ga_params.crossover_prob!r}",
-        f"ga_pm = {c.ga_params.mutation_prob!r}",
+        f"ga_pc = {float(c.ga_params.crossover_prob)!r}",
+        f"ga_pm = {float(c.ga_params.mutation_prob)!r}",
         f"payload_len = {key.payload_len_bytes}",
-        f"skipped = {','.join(str(i) for i in key.skipped_indices)}",
+        f"skipped = {_int_list_text(key.skipped_indices)}",
     ]
     return "\n".join(lines) + "\n"
 
@@ -367,8 +377,11 @@ def parse_key_file(text: str) -> StegoKey:
 
     The parser enforces the text rules: line syntax, the twelve fields each
     exactly once, the version, 16 lowercase hex digits of seed and ascending
-    layers. Every value range is checked by the constructors (LayerMask,
-    GaParams, EmbedConfig, StegoKey), whose ValueError becomes KeyParseError.
+    layers. Each value must be spelled as format_key_file writes it: integers
+    as str(int) writes them (ASCII digits, no "+", leading zero or "_"),
+    ga_pc and ga_pm as repr(float), so one key has exactly one text. Every value
+    range is checked by the constructors (LayerMask, GaParams, EmbedConfig,
+    StegoKey), whose ValueError becomes KeyParseError.
     """
     fields: dict[str, str] = {}
     for lineno, line in enumerate(text.splitlines(), start=1):
@@ -387,14 +400,22 @@ def parse_key_file(text: str) -> StegoKey:
     if missing:
         raise KeyParseError(f"missing fields: {', '.join(missing)}")
 
-    def read(name, convert=int):
+    def read(name, convert=int, spell=str):
+        text = fields[name]
         try:
-            return convert(fields[name])
+            value = convert(text)
         except ValueError:
-            raise KeyParseError(f"field {name}: cannot read {fields[name]!r}") from None
+            value = None
+        if value is None or spell(value) != text:
+            raise KeyParseError(f"field {name}: cannot read {text!r}")
+        return value
 
     def ints(name):
-        return read(name, lambda t: tuple(int(x) for x in t.split(",")) if t else ())
+        return read(
+            name,
+            lambda t: tuple(int(x) for x in t.split(",")) if t else (),
+            _int_list_text,
+        )
 
     if read("version") != KEY_FORMAT_VERSION:
         raise KeyParseError(f"unsupported key format version {fields['version']}")
@@ -409,12 +430,12 @@ def parse_key_file(text: str) -> StegoKey:
             mask=LayerMask(layers, read("bit_depth")),
             key=MasterKey(int(seed_text, 16)),
             mode=fields["mode"],
-            threshold=read("threshold", parse_threshold),
+            threshold=read("threshold", parse_threshold, _threshold_text),
             ga_params=GaParams(
                 population_size=read("ga_pop"),
                 generations=read("ga_gens"),
-                crossover_prob=read("ga_pc", float),
-                mutation_prob=read("ga_pm", float),
+                crossover_prob=read("ga_pc", float, repr),
+                mutation_prob=read("ga_pm", float, repr),
             ),
         )
         return StegoKey(config, read("payload_len"), ints("skipped"))

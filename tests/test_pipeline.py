@@ -584,6 +584,33 @@ class TestKeyFile:
         )
         assert parse_key_file(format_key_file(key)) == key
 
+    def test_every_written_key_parses_to_itself(self):
+        # format_key_file's text is the one spelling parse_key_file accepts,
+        # so every key it writes must read back, and write back unchanged
+        rnd = random.Random(21)
+        for _ in range(300):
+            depth = rnd.choice([8, 16])
+            probs = [rnd.random(), rnd.choice([0, 1, 0.0, 1.0, 0.1, 1e-05])]
+            rnd.shuffle(probs)
+            key = StegoKey(
+                EmbedConfig(
+                    mask=LayerMask(rnd.sample(range(1, depth + 1), rnd.randint(1, 4)),
+                                   depth),
+                    key=MasterKey(rnd.getrandbits(64)),
+                    mode=rnd.choice(["plain", "nearest", "ga"]),
+                    threshold=rnd.choice([math.inf, 0, rnd.randrange(10**6)]),
+                    ga_params=GaParams(population_size=rnd.randint(2, 100),
+                                       generations=rnd.randint(1, 10**4),
+                                       crossover_prob=probs[0],
+                                       mutation_prob=probs[1]),
+                ),
+                payload_len_bytes=rnd.randrange(10**7),
+                skipped_indices=sorted(rnd.sample(range(10**6), rnd.randint(0, 5))),
+            )
+            text = format_key_file(key)
+            assert parse_key_file(text) == key
+            assert format_key_file(parse_key_file(text)) == text
+
     # each turns GOLDEN_TEXT into a text the parser must reject
     # (tests/test_cli.py runs them through `gastego extract` too)
     STRICT_MUTATIONS = [
@@ -603,6 +630,11 @@ class TestKeyFile:
         lambda t: t.replace("skipped = 17,130", "skipped = a,b"),
         lambda t: "\n".join(t.splitlines()[:-1]) + "\n",  # missing field
         lambda t: t.replace("version = 1\n", "version 1\n"),
+        # spellings int() and float() read but format_key_file never writes
+        lambda t: t.replace("ga_pop = 16", "ga_pop = 1_6"),
+        lambda t: t.replace("version = 1\n", "version = +01\n"),
+        lambda t: t.replace("ga_pc = 0.8", "ga_pc = 8e-1"),
+        lambda t: t.replace("payload_len = 42", "payload_len = \u0664\u0662"),
     ]
 
     @pytest.mark.parametrize("mutation", STRICT_MUTATIONS)

@@ -24,7 +24,9 @@ The population is kept ordered, fittest first with ties in insertion order,
 so a generation touches only the two offspring and the two members it kills:
 each offspring is inserted after every member of equal fitness, the two kills
 come from the least-fit run at the tail, and the best is always the first
-member. Gene counts live in a 256-entry list, since genes are byte values.
+member. A flag per member marks the copies of the best, so the kills skip
+them without comparing individuals. Gene counts live in a 256-entry list,
+since genes are byte values.
 
 This GA stands alone; optionally its winner can be folded into a master key
 seed for the embedding pipeline (see derive_key_from_genes).
@@ -111,7 +113,7 @@ def init_population(
     draws = _mulhi_small(stream_outputs(rng.state, 1, count), span)
     rng.state = (rng.state + count * GAMMA) & MASK64
     flat = (draws + profile.min_val).tolist()
-    return [tuple(flat[i : i + genes]) for i in range(0, count, genes)]
+    return [tuple(flat[i * genes : (i + 1) * genes]) for i in range(size)]
 
 
 def set_fitness(individual: Individual, profile: MessageProfile) -> int:
@@ -179,6 +181,10 @@ def evolve(message: bytes, params: MsgGaParams = MsgGaParams()) -> EvolveResult:
         gene = pool[rng.next_below(len(pool))]
         return child[:pos] + (gene,) + child[pos + 1 :]
 
+    # dup[i]: pop[i] is a copy of the best, pop[0]. The best's value changes
+    # only when the top fitness rises: equal offspring go behind pop[0], and
+    # pop[0] is killed only when every member is a copy of it.
+    dup = [ind == pop[0] for ind in pop]
     history = [-neg[0]]
     sizes = [len(pop)]
     generations = 0
@@ -197,14 +203,21 @@ def evolve(message: bytes, params: MsgGaParams = MsgGaParams()) -> EvolveResult:
             i = bisect_right(neg, f)
             pop.insert(i, child)
             neg.insert(i, f)
-        best = pop[0]
+            dup.insert(i, child == pop[0])
+        if -neg[0] > history[-1]:
+            # a new best is an offspring; every older member is less fit, so
+            # only the other offspring, second in line, can be a copy of it
+            dup = [True, pop[1] == pop[0]] + [False] * (len(pop) - 2)
         for _ in range(2):
             # the first member of the least-fit run that is not a copy of the
             # best, or the run's first member when every one is a copy
             run = bisect_left(neg, neg[-1])
-            i = next((j for j in range(run, len(pop)) if pop[j] != best), run)
+            try:
+                i = dup.index(False, run)
+            except ValueError:
+                i = run
             note_discard(pop[i])
-            del pop[i], neg[i]
+            del pop[i], neg[i], dup[i]
         history.append(-neg[0])
         sizes.append(len(pop))
 

@@ -377,11 +377,11 @@ def parse_key_file(text: str) -> StegoKey:
 
     The parser enforces the text rules: line syntax, the twelve fields each
     exactly once, the version, 16 lowercase hex digits of seed and ascending
-    layers. Each value must be spelled as format_key_file writes it: integers
-    as str(int) writes them (ASCII digits, no "+", leading zero or "_"),
-    ga_pc and ga_pm as repr(float), so one key has exactly one text. Every value
-    range is checked by the constructors (LayerMask, GaParams, EmbedConfig,
-    StegoKey), whose ValueError becomes KeyParseError.
+    layers. Each value must be spelled as format_key_file writes it, so one
+    key has exactly one text: integers as str writes them (ASCII digits, no
+    "+", leading zero or "_"), ga_pc and ga_pm as repr(float) writes them.
+    Every value range is checked by the constructors (LayerMask, GaParams,
+    EmbedConfig, StegoKey), whose ValueError becomes KeyParseError.
     """
     fields: dict[str, str] = {}
     for lineno, line in enumerate(text.splitlines(), start=1):
@@ -404,11 +404,11 @@ def parse_key_file(text: str) -> StegoKey:
         text = fields[name]
         try:
             value = convert(text)
+            if spell(value) == text:
+                return value
         except ValueError:
-            value = None
-        if value is None or spell(value) != text:
-            raise KeyParseError(f"field {name}: cannot read {text!r}")
-        return value
+            pass
+        raise KeyParseError(f"field {name}: cannot read {text!r}")
 
     def ints(name):
         return read(

@@ -156,10 +156,10 @@ class TestInitPopulation:
 
 
     @pytest.mark.parametrize("message", [
-        b"AAAA",                    # span 1
-        bytes(range(256)),          # span 256
-        b"0123456789:;<=>?@xyz",    # span 75
-    ])
+        b"AAAA",
+        bytes(range(256)),
+        b"0123456789:;<=>?@xyz",
+    ], ids=["span1", "span256", "span75"])
     def test_matches_one_draw_per_gene(self, message):
         # same individuals as one next_below per gene, row-major, and the
         # stream left where that loop leaves it, so later draws stay in step

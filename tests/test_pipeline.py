@@ -635,6 +635,14 @@ class TestKeyFile:
         lambda t: t.replace("version = 1\n", "version = +01\n"),
         lambda t: t.replace("ga_pc = 0.8", "ga_pc = 8e-1"),
         lambda t: t.replace("payload_len = 42", "payload_len = \u0664\u0662"),
+        lambda t: t.replace("seed = 0000000000001234", "seed = 0x00000000001234"),
+        lambda t: t.replace("seed = 0000000000001234", "seed = 00000000000_1234"),
+        lambda t: t.replace("seed = 0000000000001234", "seed = +000000000001234"),
+        lambda t: t.replace("layers = 1,5", "layers = 1, 5"),
+        lambda t: t.replace("layers = 1,5", "layers = 01,5"),
+        lambda t: t.replace("threshold = inf", "threshold = 03"),
+        lambda t: t.replace("ga_pm = 0.1", "ga_pm = 0.10"),
+        lambda t: t.replace("skipped = 17,130", "skipped = 17,0130"),
     ]
 
     @pytest.mark.parametrize("mutation", STRICT_MUTATIONS)

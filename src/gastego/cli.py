@@ -10,7 +10,9 @@ found by oracle-check. All randomness is seeded (--seed, default 0);
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
+import math
 import secrets
 import sys
 from itertools import combinations, product
@@ -154,10 +156,13 @@ def cmd_embed(args) -> int:
     stego, stego_key, report = pipeline.embed(cover, message, config)
     _write(args.out, wav_io.write_wav(stego))
     _write(args.key_out, pipeline.format_key_file(stego_key).encode())
-    for name, value in report.to_dict().items():
-        print(f"{name}: {'inf' if value is None and name == 'snr_db' else value}")
+    fields = dataclasses.asdict(report)
+    for name, value in fields.items():
+        print(f"{name}: {value}")
     if args.report:
-        _write(args.report, json.dumps(report.to_dict(), indent=2).encode() + b"\n")
+        if math.isinf(report.snr_db):
+            fields["snr_db"] = None  # JSON has no infinity
+        _write(args.report, json.dumps(fields, indent=2).encode() + b"\n")
     return 0
 
 
@@ -205,6 +210,13 @@ def cmd_keygen_ga(args) -> int:
     print(f"generations: {result.generations}")
     if args.emit_master_key:
         print(f"master_key: {msg_ga.derive_key_from_genes(result.best).hex()}")
+    if result.best_fitness < result.target_fitness:
+        print(
+            f"error: the message GA stopped at fitness {result.best_fitness} of "
+            f"{result.target_fitness} after generation {result.generations}",
+            file=sys.stderr,
+        )
+        return 2
     return 0
 
 

@@ -38,8 +38,9 @@ twelve fields below in any order, nothing else.
     payload_len = 42               bytes of message
     skipped = 17,130               rejected sample indices, may be empty
 
-Each value is read only in the spelling format_key_file writes: integers in
-plain ASCII digits, ga_pc and ga_pm as Python's repr of the float.
+A file is accepted only if format_key_file writes every field back exactly
+as read, so one key has exactly one text: integers in plain ASCII digits,
+ga_pc and ga_pm as Python's repr of the float.
 
 The XOR keystream behind "seed" is obfuscation, not cryptography; treat the
 key file as the secret.
@@ -114,16 +115,6 @@ class EmbedReport:
     max_deviation: int
     snr_db: float
     capacity_bits: int
-
-    def to_dict(self) -> dict:
-        d = dict(
-            samples_used=self.samples_used,
-            samples_skipped=self.samples_skipped,
-            max_deviation=self.max_deviation,
-            snr_db=None if math.isinf(self.snr_db) else self.snr_db,
-            capacity_bits=self.capacity_bits,
-        )
-        return d
 
 
 def parse_threshold(text: str) -> int | float:
@@ -328,60 +319,50 @@ def _engine(
 
 # --- key file serialization ------------------------------------------------------
 
-_KEY_FIELDS = (
-    "version",
-    "seed",
-    "bit_depth",
-    "layers",
-    "mode",
-    "threshold",
-    "ga_pop",
-    "ga_gens",
-    "ga_pc",
-    "ga_pm",
-    "payload_len",
-    "skipped",
+
+def _key_fields(key: StegoKey) -> dict[str, str]:
+    """Each key file field's text, in file order: the one text of a key."""
+    c = key.config
+    p = c.ga_params
+    return {
+        "version": str(KEY_FORMAT_VERSION),
+        "seed": c.key.hex(),
+        "bit_depth": str(c.mask.bit_depth),
+        "layers": ",".join(map(str, c.mask.layers)),
+        "mode": c.mode,
+        "threshold": str(c.threshold),  # str(math.inf) is "inf"
+        "ga_pop": str(p.population_size),
+        "ga_gens": str(p.generations),
+        "ga_pc": repr(float(p.crossover_prob)),
+        "ga_pm": repr(float(p.mutation_prob)),
+        "payload_len": str(key.payload_len_bytes),
+        "skipped": ",".join(map(str, key.skipped_indices)),
+    }
+
+
+# the field names in file order; any key lists the same ones
+_FIELD_NAMES = tuple(
+    _key_fields(StegoKey(EmbedConfig(LayerMask((1,), 8), MasterKey(0)), 0, ()))
 )
-
-
-def _int_list_text(values) -> str:
-    return ",".join(str(v) for v in values)
-
-
-def _threshold_text(threshold: int | float) -> str:
-    return "inf" if math.isinf(threshold) else str(threshold)
 
 
 def format_key_file(key: StegoKey) -> str:
     """Render a StegoKey in the documented key file format."""
-    c = key.config
-    lines = [
-        f"version = {KEY_FORMAT_VERSION}",
-        f"seed = {c.key.hex()}",
-        f"bit_depth = {c.mask.bit_depth}",
-        f"layers = {_int_list_text(c.mask.layers)}",
-        f"mode = {c.mode}",
-        f"threshold = {_threshold_text(c.threshold)}",
-        f"ga_pop = {c.ga_params.population_size}",
-        f"ga_gens = {c.ga_params.generations}",
-        f"ga_pc = {float(c.ga_params.crossover_prob)!r}",
-        f"ga_pm = {float(c.ga_params.mutation_prob)!r}",
-        f"payload_len = {key.payload_len_bytes}",
-        f"skipped = {_int_list_text(key.skipped_indices)}",
-    ]
-    return "\n".join(lines) + "\n"
+    return "".join(f"{name} = {text}\n" for name, text in _key_fields(key).items())
 
 
 def parse_key_file(text: str) -> StegoKey:
     """Parse the documented key file format.
 
-    The parser enforces the text rules: line syntax, the twelve fields each
-    exactly once, the version, 16 lowercase hex digits of seed and ascending
-    layers. Each value must be spelled as format_key_file writes it, so one
-    key has exactly one text: integers as str writes them (ASCII digits, no
-    "+", leading zero or "_"), ga_pc and ga_pm as repr(float) writes them.
-    Every value range is checked by the constructors (LayerMask, GaParams,
-    EmbedConfig, StegoKey), whose ValueError becomes KeyParseError.
+    The parser checks the line syntax, the twelve fields each exactly once
+    and the version. It converts each value with int (int(value, 16) for
+    seed), float or parse_threshold and builds the key through the
+    constructors (LayerMask, GaParams, EmbedConfig, StegoKey), which check
+    every value range; their ValueError becomes KeyParseError. A file is
+    accepted only if format_key_file writes every field back exactly as read,
+    so one key has exactly one text: seed as 16 lowercase hex digits, layers
+    ascending, integers as str writes them (ASCII digits, no "+", leading
+    zero, "_" or space), ga_pc and ga_pm as repr(float) writes them.
     """
     fields: dict[str, str] = {}
     for lineno, line in enumerate(text.splitlines(), start=1):
@@ -391,53 +372,45 @@ def parse_key_file(text: str) -> StegoKey:
         if not sep:
             raise KeyParseError(f"line {lineno}: expected 'name = value'")
         name = name.strip()
-        if name not in _KEY_FIELDS:
+        if name not in _FIELD_NAMES:
             raise KeyParseError(f"line {lineno}: unknown field {name!r}")
         if name in fields:
             raise KeyParseError(f"line {lineno}: duplicate field {name!r}")
         fields[name] = value.strip()
-    missing = [f for f in _KEY_FIELDS if f not in fields]
+    missing = [f for f in _FIELD_NAMES if f not in fields]
     if missing:
         raise KeyParseError(f"missing fields: {', '.join(missing)}")
 
-    def read(name, convert=int, spell=str):
-        text = fields[name]
+    def read(name, convert=int):
         try:
-            value = convert(text)
-            if spell(value) == text:
-                return value
+            return convert(fields[name])
         except ValueError:
-            pass
-        raise KeyParseError(f"field {name}: cannot read {text!r}")
+            raise KeyParseError(f"field {name}: cannot read {fields[name]!r}") from None
 
     def ints(name):
-        return read(
-            name,
-            lambda t: tuple(int(x) for x in t.split(",")) if t else (),
-            _int_list_text,
-        )
+        return read(name, lambda t: tuple(int(x) for x in t.split(",")) if t else ())
 
     if read("version") != KEY_FORMAT_VERSION:
         raise KeyParseError(f"unsupported key format version {fields['version']}")
-    seed_text = fields["seed"]
-    if len(seed_text) != 16 or any(c not in "0123456789abcdef" for c in seed_text):
-        raise KeyParseError("field seed: expected 16 lowercase hex digits")
-    layers = ints("layers")
-    if list(layers) != sorted(layers):
-        raise KeyParseError("field layers: must be ascending")
     try:
         config = EmbedConfig(
-            mask=LayerMask(layers, read("bit_depth")),
-            key=MasterKey(int(seed_text, 16)),
+            mask=LayerMask(ints("layers"), read("bit_depth")),
+            key=MasterKey(read("seed", lambda t: int(t, 16))),
             mode=fields["mode"],
-            threshold=read("threshold", parse_threshold, _threshold_text),
+            threshold=read("threshold", parse_threshold),
             ga_params=GaParams(
                 population_size=read("ga_pop"),
                 generations=read("ga_gens"),
-                crossover_prob=read("ga_pc", float, repr),
-                mutation_prob=read("ga_pm", float, repr),
+                crossover_prob=read("ga_pc", float),
+                mutation_prob=read("ga_pm", float),
             ),
         )
-        return StegoKey(config, read("payload_len"), ints("skipped"))
+        key = StegoKey(config, read("payload_len"), ints("skipped"))
     except ValueError as exc:
         raise KeyParseError(str(exc)) from exc
+    for name, written in _key_fields(key).items():
+        if fields[name] != written:
+            raise KeyParseError(
+                f"field {name}: cannot read {fields[name]!r} (the key writes {written!r})"
+            )
+    return key

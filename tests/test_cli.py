@@ -90,6 +90,30 @@ class TestEmbedExtract:
         }
         assert reports["nearest"]["snr_db"] >= reports["plain"]["snr_db"]
 
+    def test_report_text_on_stdout_and_in_json(self, workspace, capsys):
+        # stdout prints every report field; the JSON holds the same fields,
+        # with null for the infinite SNR of a stego file equal to its cover
+        ws, cover_path, msg_path = workspace
+        empty = ws / "empty.bin"
+        empty.write_bytes(b"")
+        rep = ws / "report.json"
+        capsys.readouterr()
+        assert run_embed(ws, cover_path, empty, "--report", str(rep))[0] == 0
+        assert capsys.readouterr().out == (
+            "samples_used: 0\nsamples_skipped: 0\nmax_deviation: 0\n"
+            "snr_db: inf\ncapacity_bits: 20000\n"
+        )
+        assert rep.read_text() == (
+            '{\n  "samples_used": 0,\n  "samples_skipped": 0,\n'
+            '  "max_deviation": 0,\n  "snr_db": null,\n  "capacity_bits": 20000\n}\n'
+        )
+        assert run_embed(ws, cover_path, msg_path, "--mode", "plain",
+                         "--report", str(rep))[0] == 0
+        report = json.loads(rep.read_text())
+        assert capsys.readouterr().out.splitlines() == [
+            f"{name}: {value}" for name, value in report.items()
+        ]
+
     def test_seed_from_message_ga(self, workspace):
         ws, cover_path, msg_path = workspace
         code, out, key = run_embed(ws, cover_path, msg_path, "--seed-from-message-ga")
@@ -249,6 +273,35 @@ class TestKeygenGa:
         msg = tmp_path / "m.bin"
         msg.write_bytes(b"")
         assert main(["keygen-ga", "--message", str(msg)]) == 2
+
+    def test_stalled_ga_is_2(self, tmp_path, capsys):
+        # a dense_payload-style 512 B message on which the GA never rises
+        # above its generation-0 best: stdout is printed as for a success,
+        # and the exit code and stderr report the shortfall
+        msg = tmp_path / "m.bin"
+        msg.write_bytes(
+            np.random.default_rng([15, 1, 8, 0]).integers(0, 256, 512, dtype=np.uint8).tobytes()
+        )
+        assert main(["keygen-ga", "--message", str(msg),
+                     "--seed", "0xdd701e200c880b3f"]) == 2
+        captured = capsys.readouterr()
+        lines = captured.out.splitlines()
+        assert lines[0].startswith("best: ")
+        assert lines[1:] == ["fitness: 137", "distinct_values: 216", "generations: 10000"]
+        assert captured.err.startswith("error: ")
+
+    def test_generation_cap_below_optimum_is_2(self, tmp_path, capsys):
+        msg = tmp_path / "m.bin"
+        msg.write_bytes(bytes(range(64)))
+        assert main(["keygen-ga", "--message", str(msg), "--max-gens", "1",
+                     "--emit-master-key"]) == 2
+        captured = capsys.readouterr()
+        fields = dict(line.split(": ") for line in captured.out.splitlines())
+        assert set(fields) == {"best", "fitness", "distinct_values", "generations",
+                               "master_key"}
+        assert int(fields["fitness"]) < int(fields["distinct_values"]) == 64
+        assert fields["generations"] == "1"
+        assert captured.err.startswith("error: ")
 
 
 class TestOracleCheck:

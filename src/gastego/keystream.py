@@ -92,13 +92,16 @@ class MasterKey:
         return f"{self.seed:016x}"
 
 
-def derive_seed(key: MasterKey, purpose: str, index: int) -> int:
+def derive_seed(key: MasterKey, purpose: str, index: int | np.ndarray) -> int | np.ndarray:
     """Deterministic 64-bit seed for one (purpose, index) slot under a key.
 
     Distinct purposes give independent streams; the pipeline uses "encrypt",
-    "permute" and "ga" (the latter indexed by sample position).
+    "permute" and "ga" (the latter indexed by sample position). An integer
+    ndarray of indices gives a uint64 array: each entry's seed, in one pass.
     """
     h = mix64(key.seed ^ fnv1a64(purpose.encode("utf-8")))
+    if isinstance(index, np.ndarray):
+        return _scramble((index.astype(np.uint64) ^ np.uint64(h)) + np.uint64(GAMMA))
     return mix64(h ^ (index & MASK64))
 
 

@@ -201,29 +201,16 @@ def embed(
             # prefix: resolve at least twice as much
             perm = permute_indices(n, config.key, max(pos + width, 2 * len(perm)))
         idxs = np.asarray(perm[pos : pos + width])
-        pats = groups[g : g + width]
         raw = values[idxs] & ((1 << bit_depth) - 1)
-        run = width
-        if config.mode == "ga" and not math.isinf(config.threshold):
-            # the GA never beats the closed-form optimum, so a carrier whose
-            # optimum exceeds the threshold is rejected without running it
-            optimum = bitplane.adjust_nearest_packed(raw, mask, pats)
-            devs = np.abs(bitplane.values_of(optimum, bit_depth) - values[idxs])
-            over = np.flatnonzero(devs > config.threshold)
-            if len(over):
-                run = int(over[0])
-        accepted = run
-        if run:
-            modified = bitplane.values_of(
-                _engine(config, raw[:run], idxs[:run], pats[:run]), bit_depth
-            )
-            devs = np.abs(modified - values[idxs[:run]])
-            rejected = np.flatnonzero(devs > config.threshold)
-            if len(rejected):
-                accepted = int(rejected[0])
-            if accepted:
-                stego_values[idxs[:accepted]] = modified[:accepted]
-                max_dev = max(max_dev, int(devs[:accepted].max()))
+        modified = bitplane.values_of(
+            _engine(config, raw, idxs, groups[g : g + width]), bit_depth
+        )
+        # carriers past the engine's leading run count as rejected
+        devs = np.abs(modified - values[idxs[: len(modified)]])
+        rejected = np.flatnonzero(devs > config.threshold)
+        accepted = int(rejected[0]) if len(rejected) else len(modified)
+        stego_values[idxs[:accepted]] = modified[:accepted]
+        max_dev = max(max_dev, int(devs[:accepted].max(initial=0)))
         g += accepted
         if accepted < width:
             # the sample at the first rejection stays original; its bits
@@ -304,16 +291,24 @@ def _engine(
 
     `raw` holds the cover's raw samples at walk indices `idxs` (the `ga`
     engine seeds each carrier's GA from its index) and `pats` their packed
-    pattern bits.
+    pattern bits. In `ga` mode with a finite threshold the run is cut before
+    the first carrier whose closed-form optimum exceeds the threshold, since
+    the GA never beats that optimum: that carrier is rejected without a GA.
     """
     mask = config.mask
     if config.mode == "plain":
         return (raw & ~mask.bits) | pats
     if config.mode == "nearest":
         return bitplane.adjust_nearest_packed(raw, mask, pats)
-    seeds = np.array(
-        [derive_seed(config.key, "ga", int(i)) for i in idxs], dtype=np.uint64
-    )
+    if not math.isinf(config.threshold):
+        bd = mask.bit_depth
+        optimum = bitplane.adjust_nearest_packed(raw, mask, pats)
+        devs = np.abs(bitplane.values_of(optimum, bd) - bitplane.values_of(raw, bd))
+        run = np.append(np.flatnonzero(devs > config.threshold), len(raw))[0]
+        if not run:
+            return raw[:0]
+        raw, idxs, pats = raw[:run], idxs[:run], pats[:run]
+    seeds = derive_seed(config.key, "ga", idxs)
     return run_ga_batch(raw, pats, mask, config.ga_params, seeds)
 
 

@@ -135,6 +135,19 @@ class TestDeriveSeed:
         mean = flips / trials
         assert 24 <= mean <= 40
 
+    @pytest.mark.parametrize("purpose", ["ga", "permute"])
+    def test_array_indices_match_scalar_calls(self, purpose):
+        k = MasterKey(0x1234)
+        for idxs in (
+            np.array([0, 1, 2**32 + 7, -1], dtype=np.int64),
+            np.array([2**63, 2**64 - 1], dtype=np.uint64),
+        ):
+            got = derive_seed(k, purpose, idxs)
+            assert got.dtype == np.uint64
+            assert got.tolist() == [derive_seed(k, purpose, int(i)) for i in idxs]
+        empty = derive_seed(k, purpose, np.array([], dtype=np.int64))
+        assert empty.dtype == np.uint64 and empty.shape == (0,)
+
     def test_masterkey_reduces_mod_2_64(self):
         assert MasterKey(-1).seed == MASK64
         assert MasterKey(2**64 + 5).seed == 5

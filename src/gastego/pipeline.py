@@ -36,7 +36,7 @@ twelve fields below in any order, nothing else.
     ga_pc = 0.8
     ga_pm = 0.1
     payload_len = 42               bytes of message
-    skipped = 17,130               rejected sample indices, may be empty
+    skipped = 17,130               rejected sample indices (>= 0), may be empty
 
 A file is accepted only if format_key_file writes every field back exactly
 as read, so one key has exactly one text: integers in plain ASCII digits,
@@ -48,6 +48,7 @@ key file as the secret.
 
 from __future__ import annotations
 
+import bisect
 import math
 from dataclasses import dataclass, field
 
@@ -105,6 +106,8 @@ class StegoKey:
         skipped = tuple(self.skipped_indices)
         if any(b <= a for a, b in zip(skipped, skipped[1:])):
             raise ValueError("skipped_indices must be strictly increasing")
+        if skipped and skipped[0] < 0:
+            raise ValueError("skipped_indices must be >= 0")
         object.__setattr__(self, "skipped_indices", skipped)
 
 
@@ -242,14 +245,15 @@ def extract(stego: AudioBuffer, key: StegoKey) -> bytes:
         raise BitDepthMismatch(
             f"key is {mask.bit_depth}-bit but stego is {stego.bit_depth}-bit"
         )
-    if key.payload_len_bytes == 0:
-        return b""
     n = len(stego.samples)
     k = mask.k
     m = -(-8 * key.payload_len_bytes // k)  # groups, padded like embed
+    # the skips that name a sample of the buffer, found on Python ints: an
+    # index past it names none and need not fit an int64
+    inside = bisect.bisect_left(key.skipped_indices, n)
+    skipped = np.asarray(key.skipped_indices[:inside], dtype=np.int64)
     # at most len(skipped) of the first m + len(skipped) walk positions are
     # skipped, so that prefix holds every sample the payload used
-    skipped = np.asarray(key.skipped_indices, dtype=np.int64)
     perm = np.asarray(
         permute_indices(n, key.config.key, m + len(skipped)), dtype=np.int64
     )
@@ -258,6 +262,11 @@ def extract(stego: AudioBuffer, key: StegoKey) -> bytes:
         raise KeyMismatch(
             f"key declares {key.payload_len_bytes} payload bytes but the "
             f"stego buffer yields only {len(used)} usable samples of {m}"
+        )
+    if inside < len(key.skipped_indices):
+        raise KeyMismatch(
+            f"key skips sample {key.skipped_indices[-1]} but the stego buffer "
+            f"has only {n} samples"
         )
     raw = stego.samples[used] & ((1 << stego.bit_depth) - 1)
     shifts = np.array([layer - 1 for layer in mask.layers], dtype=np.int64)

@@ -226,6 +226,19 @@ class TestExitCodes:
         assert main(argv) == 1
         assert "error:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("skipped", ["17,20000", "17,9223372036854775808"])
+    def test_skipped_index_outside_stego_is_3(self, workspace, skipped, capsys):
+        # the cover has 20,000 samples, so the key names a sample it lacks;
+        # 2**63 does not even fit an int64
+        ws, cover_path, _msg = workspace
+        key = ws / "key.txt"
+        key.write_text(
+            KeyFileCases.GOLDEN_TEXT.replace("skipped = 17,130", f"skipped = {skipped}")
+        )
+        assert main(["extract", "--stego", str(cover_path), "--key", str(key),
+                     "--out", str(ws / "rec.bin")]) == 3
+        assert "error:" in capsys.readouterr().err
+
     def test_malformed_wav_is_1(self, workspace):
         ws, cover_path, msg_path = workspace
         code, out, key = run_embed(ws, cover_path, msg_path)

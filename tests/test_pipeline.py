@@ -643,6 +643,7 @@ class TestKeyFile:
         lambda t: t.replace("threshold = inf", "threshold = 03"),
         lambda t: t.replace("ga_pm = 0.1", "ga_pm = 0.10"),
         lambda t: t.replace("skipped = 17,130", "skipped = 17,0130"),
+        lambda t: t.replace("skipped = 17,130", "skipped = -7,130"),
     ]
 
     @pytest.mark.parametrize("mutation", STRICT_MUTATIONS)

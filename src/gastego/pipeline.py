@@ -15,9 +15,9 @@ payload, so an embed without rejections makes one engine call. After a
 rejection the next window holds max(8, 2 x the run of carriers just
 accepted), and it doubles after each fully accepted window, so engine work
 stays linear in the payload plus the rejections. In `ga` mode with a finite
-threshold a window is cut before the first carrier whose closed-form optimum
-already exceeds the threshold: the GA cannot beat that optimum, so the
-carrier is rejected without running the GA. Every carrier's engine result
+threshold `_engine` cuts a window before the first carrier whose closed-form
+optimum already exceeds the threshold: the GA cannot beat that optimum, so
+the carrier is rejected without running the GA. Every carrier's engine result
 depends on that carrier alone, so windows change the work done, never the
 output.
 
@@ -245,6 +245,8 @@ def extract(stego: AudioBuffer, key: StegoKey) -> bytes:
         raise BitDepthMismatch(
             f"key is {mask.bit_depth}-bit but stego is {stego.bit_depth}-bit"
         )
+    if key.payload_len_bytes == 0 and not key.skipped_indices:
+        return b""
     n = len(stego.samples)
     k = mask.k
     m = -(-8 * key.payload_len_bytes // k)  # groups, padded like embed

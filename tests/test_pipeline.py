@@ -514,6 +514,17 @@ class TestExtractErrors:
             "264 usable samples of 320"
         )
 
+    @pytest.mark.parametrize("payload", [0, 1])
+    def test_skipped_index_outside_the_buffer(self, payload):
+        # an index past the buffer names none of its samples, with or
+        # without a payload, and 2**64 does not fit an int64
+        key = StegoKey(
+            EmbedConfig(mask=LayerMask((1,), 16), key=MasterKey(1), mode="plain"),
+            payload_len_bytes=payload, skipped_indices=(1, 2**64),
+        )
+        with pytest.raises(KeyMismatch, match=f"key skips sample {2**64} "):
+            extract(AudioBuffer([1, 2, 3] * 10, 16, 8000, 1), key)
+
     def test_bit_depth_mismatch(self):
         key = StegoKey(
             EmbedConfig(mask=LayerMask((1,), 8), key=MasterKey(1), mode="plain"),

@@ -13,7 +13,7 @@ text of a case that fails. It also compares `keygen-ga` stdout, stderr and
 exit code on 20 messages of 1 to 512 bytes.
 
 Prints the count of each outcome and the first mismatching case, and exits 1
-on any mismatch. It needs the repository's git history, so it is a tool, not
+on any mismatch (2 when the comparison cannot run). It needs the repository's git history, so it is a tool, not
 a test.
 """
 
@@ -187,7 +187,7 @@ def worker(src: str, cases_path: str, out_path: str) -> None:
     Path(out_path).write_text(json.dumps(results))
 
 
-# --- driver ------------------------------------------------------------------------
+# --- comparison --------------------------------------------------------------------
 
 
 def _git(*args: str) -> bytes:
@@ -204,7 +204,7 @@ def _extract_src(rev: str, dest: Path) -> None:
             archive.extractall(dest)
 
 
-def _first_difference(a: dict, b: dict) -> list[str]:
+def _differing_fields(a: dict, b: dict) -> list[str]:
     return [k for k in sorted(set(a) | set(b)) if a.get(k) != b.get(k)]
 
 
@@ -222,7 +222,11 @@ def main(argv: list[str] | None = None) -> int:
     if args.cases < 0:
         parser.error("--cases must be >= 0")
 
-    commit = _git("rev-parse", "--short", f"{args.rev}^{{commit}}").decode().strip()
+    try:
+        commit = _git("rev-parse", "--short", f"{args.rev}^{{commit}}").decode().strip()
+    except subprocess.CalledProcessError as exc:
+        print(f"error: {exc.stderr.decode().strip()}", file=sys.stderr)
+        return 2
     rnd = random.Random(args.seed)
     cases = {"embed": embed_cases(rnd, args.cases), "keygen": keygen_cases(rnd, KEYGEN_CASES)}
     start = time.perf_counter()
@@ -240,10 +244,17 @@ def main(argv: list[str] | None = None) -> int:
             )
             for i, (name, src) in enumerate(trees.items())
         }
-        for name, proc in procs.items():
-            if proc.wait():
-                print(f"worker for {name} failed with exit {proc.returncode}")
-                return 1
+        try:
+            for name, proc in procs.items():
+                if proc.wait():
+                    print(f"error: the worker for {name} exited with {proc.returncode}",
+                          file=sys.stderr)
+                    return 2
+        finally:
+            for proc in procs.values():
+                if proc.poll() is None:
+                    proc.kill()
+                    proc.wait()
         rev_out, new_out = (json.loads((tmp / f"{i}.json").read_text()) for i in range(2))
 
     print(f"differential: working tree against {commit}, seed {args.seed}, "
@@ -262,7 +273,7 @@ def main(argv: list[str] | None = None) -> int:
     if mismatches:
         kind, i, old, new = mismatches[0]
         print(f"first mismatch: {kind} case {i}: {json.dumps(cases[kind][i])}")
-        for field in _first_difference(old, new):
+        for field in _differing_fields(old, new):
             print(f"  {field}: {commit} {_show(old.get(field))}")
             print(f"  {field}: working tree {_show(new.get(field))}")
         return 1

@@ -354,14 +354,32 @@ class TestGoldenEvolve:
          "cd6545c7a8d41dbf3c0bd62a1cedb9637562136d7919a48d250e77b422fec50c"
          "1f34",
          7913, "4d153f90356dc2f5", "dff9e7f93b3dc18a"),
+        # more genes than distinct values (253), so every mutation has a
+        # duplicate or non-message slot to fill; the generation cap stops
+        # the run at fitness 221
+        (1280, MsgGaParams(genes_per_individual=290, max_generations=700, seed=3),
+         "53bc92ed972ba3ad19bb3bd84ea9460cac10375cd616a4eb339f7923b97f7797"
+         "3944f33994dde20089f08ac4496b278adc36e3434c718cf90c70e59b74cec6ca"
+         "652e9a74ec1cd1f2753f8dd25c312869614529db9bbad26638fb426334befd5c"
+         "d776ea6d01240e984cf2f340c5b24472fce0c8efbf86d81e951b7cea146c60a6"
+         "805141a36413a5d9a160ef9d5cb0df18ead2f1116ce508040286e6d011f30d82"
+         "1ee4ab9d1f63545010bf680f3aa8146f22a72c022ca09ee7918f90251246967d"
+         "15aeb381e8c074c96a34a5873c400a1fa95a39aa8655b2b1d4e19e217fa2eeb7"
+         "48bdd11db8265f88f6787b4b28690697b5274f78f68e3eccf61af4a73dab30e4"
+         "32f8decae911c774562d8262674d59a253d34a465209588bb817f7fecbce96ff"
+         "691e",
+         700, "3cb7a838ee65bbda", "e3b1e9784442b0ec"),
     ]
 
     @pytest.mark.parametrize(
         "n, params, best, generations, history, key", CASES,
-        ids=["1B", "64B", "512B", "1KiB", "200B-custom", "512B-seed175"],
+        ids=["1B", "64B", "512B", "1KiB", "200B-custom", "512B-seed175",
+             "1280B-capped"],
     )
     def test_pinned(self, n, params, best, generations, history, key):
         res = evolve(random.Random(n).randbytes(n), params)
+        assert type(res.best) is tuple
+        assert all(type(gene) is int for gene in res.best)
         assert bytes(res.best).hex() == best
         assert res.generations == generations
         text = ",".join(map(str, res.fitness_history)).encode()

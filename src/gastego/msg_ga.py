@@ -25,8 +25,10 @@ so a generation touches only the two offspring and the two members it kills:
 each offspring is inserted after every member of equal fitness, the two kills
 come from the least-fit run at the tail, and the best is always the first
 member. A flag per member marks the copies of the best, so the kills skip
-them without comparing individuals. Gene counts live in a 256-entry list,
-since genes are byte values.
+them without comparing individuals. Individuals are `bytes` inside evolve(),
+and the population's gene counts are one 256-entry array, moved once per
+generation by the two offspring less the two kills; the scarce set is always
+the message values whose count is 0.
 
 This GA stands alone; optionally its winner can be folded into a master key
 seed for the embedding pipeline (see derive_key_from_genes).
@@ -37,6 +39,8 @@ from __future__ import annotations
 from bisect import bisect_left, bisect_right
 from collections import Counter
 from dataclasses import dataclass, field
+
+import numpy as np
 
 from .errors import EmptyMessage, UnreachableOptimum
 from .keystream import (
@@ -118,7 +122,7 @@ def init_population(
 
 def set_fitness(individual: Individual, profile: MessageProfile) -> int:
     """How many distinct message values the individual contains."""
-    return len(profile.distinct & set(individual))
+    return len(profile.distinct.intersection(individual))
 
 
 def evolve(message: bytes, params: MsgGaParams = MsgGaParams()) -> EvolveResult:
@@ -138,34 +142,23 @@ def evolve(message: bytes, params: MsgGaParams = MsgGaParams()) -> EvolveResult:
         )
 
     rng = SplitMix64(derive_seed(MasterKey(params.seed), "msg-ga", 0))
-    pop = init_population(profile, L, n, rng)
+    pop = [bytes(ind) for ind in init_population(profile, L, n, rng)]
     # fittest first, ties in insertion order; neg holds the negated fitnesses
     # so that bisect_right places a newcomer after every equal member
     neg = [-set_fitness(ind, profile) for ind in pop]
     order = sorted(range(L), key=neg.__getitem__)
     pop = [pop[i] for i in order]
     neg = [neg[i] for i in order]
-    # Gene counts across the population, kept incrementally so the scarce-set
-    # query is O(changes) per generation instead of O(L * n).
-    counts = [0] * 256
-    missing = set(profile.distinct)
+    # gene counts across the population; missing is always the message
+    # values whose count is 0
+    def gene_counts(genes: bytes) -> np.ndarray:
+        return np.bincount(np.frombuffer(genes, np.uint8), minlength=256)
 
-    def note_insert(ind: Individual) -> None:
-        for g in ind:
-            counts[g] += 1
-        missing.difference_update(ind)
+    wanted = gene_counts(message) > 0
+    counts = gene_counts(b"".join(pop))
+    missing = set(np.flatnonzero(wanted & (counts == 0)).tolist())
 
-    def note_discard(ind: Individual) -> None:
-        for g in ind:
-            counts[g] -= 1
-        missing.update(
-            g for g in set(ind) if counts[g] == 0 and g in profile.distinct
-        )
-
-    for ind in pop:
-        note_insert(ind)
-
-    def mutate(child: Individual) -> Individual:
+    def mutate(child: bytes) -> bytes:
         if not missing:
             return child
         child_counts = Counter(child)
@@ -179,7 +172,7 @@ def evolve(message: bytes, params: MsgGaParams = MsgGaParams()) -> EvolveResult:
         pos = slots[rng.next_below(len(slots))]
         pool = sorted(missing)
         gene = pool[rng.next_below(len(pool))]
-        return child[:pos] + (gene,) + child[pos + 1 :]
+        return child[:pos] + bytes((gene,)) + child[pos + 1 :]
 
     # dup[i]: pop[i] is a copy of the best, pop[0]. The best's value changes
     # only when the top fitness rises: equal offspring go behind pop[0], and
@@ -194,11 +187,12 @@ def evolve(message: bytes, params: MsgGaParams = MsgGaParams()) -> EvolveResult:
         # start), so n >= 2 and there is a cut point
         p1, p2 = pop[0], pop[1]
         cut = 1 + rng.next_below(n - 1)
-        # scarce set is re-derived before each offspring's mutation, so the
-        # second offspring sees what the first one just re-introduced
+        # the second offspring's mutation sees what the first re-introduced
+        born = dead = b""
         for child in (p1[:cut] + p2[cut:], p2[:cut] + p1[cut:]):
             child = mutate(child)
-            note_insert(child)
+            missing.difference_update(child)
+            born += child
             f = -set_fitness(child, profile)
             i = bisect_right(neg, f)
             pop.insert(i, child)
@@ -216,12 +210,15 @@ def evolve(message: bytes, params: MsgGaParams = MsgGaParams()) -> EvolveResult:
                 i = dup.index(False, run)
             except ValueError:
                 i = run
-            note_discard(pop[i])
+            dead += pop[i]
             del pop[i], neg[i], dup[i]
+        counts += gene_counts(born) - gene_counts(dead)
+        if not profile.distinct.isdisjoint(dead):
+            missing = set(np.flatnonzero(wanted & (counts == 0)).tolist())
         history.append(-neg[0])
         sizes.append(len(pop))
 
-    return EvolveResult(pop[0], -neg[0], target, generations, history, sizes)
+    return EvolveResult(tuple(pop[0]), -neg[0], target, generations, history, sizes)
 
 
 def derive_key_from_genes(genes: Individual) -> MasterKey:

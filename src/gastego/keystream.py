@@ -29,6 +29,7 @@ anyone who knows the seed recovers the message by design.
 from __future__ import annotations
 
 import functools
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -98,11 +99,12 @@ def derive_seed(key: MasterKey, purpose: str, index: int | np.ndarray) -> int | 
     Distinct purposes give independent streams; the pipeline uses "encrypt",
     "permute" and "ga" (the latter indexed by sample position). An integer
     ndarray of indices gives a uint64 array: each entry's seed, in one pass.
+    Any other index, numpy integer scalars included, is read as a Python int.
     """
     h = mix64(key.seed ^ fnv1a64(purpose.encode("utf-8")))
     if isinstance(index, np.ndarray):
         return _scramble((index.astype(np.uint64) ^ np.uint64(h)) + np.uint64(GAMMA))
-    return mix64(h ^ (index & MASK64))
+    return mix64(h ^ (operator.index(index) & MASK64))
 
 
 def permute_indices(n: int, key: MasterKey, count: int | None = None) -> list[int]:

@@ -1,6 +1,7 @@
 """Keyed randomness: golden vectors, statistical behavior, batch equivalence."""
 
 import random
+import warnings
 
 import numpy as np
 import pytest
@@ -147,6 +148,15 @@ class TestDeriveSeed:
             assert got.tolist() == [derive_seed(k, purpose, int(i)) for i in idxs]
         empty = derive_seed(k, purpose, np.array([], dtype=np.int64))
         assert empty.dtype == np.uint64 and empty.shape == (0,)
+
+    def test_numpy_scalar_index_reads_as_int(self):
+        k = MasterKey(0x1234)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for index in (np.int64(5), np.int64(-1), np.uint64(2**64 - 1)):
+                got = derive_seed(k, "ga", index)
+                assert type(got) is int
+                assert got == derive_seed(k, "ga", int(index))
 
     def test_masterkey_reduces_mod_2_64(self):
         assert MasterKey(-1).seed == MASK64

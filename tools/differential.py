@@ -10,7 +10,9 @@ message that sometimes fills or overflows the cover. The check compares,
 case by case: the stego WAV bytes, the key file text, the report fields, the
 bytes extracted from the written WAV and key text, and the error type and
 text of a case that fails. It also compares `keygen-ga` stdout, stderr and
-exit code on 20 messages of 1 to 512 bytes.
+exit code on 40 messages, about four in five of 1 to 512 bytes and the rest
+of 1 to 4 KiB, each with the default or a drawn `--pop`, `--genes` (above
+the message's distinct count) and `--max-gens`.
 
 Prints the count of each outcome and the first mismatching case, and exits 1
 on any mismatch (2 when the comparison cannot run). It needs the repository's git history, so it is a tool, not
@@ -38,7 +40,7 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
 THRESHOLDS = [math.inf, 0, 1, 2, 3, 5, 17, 300]
-KEYGEN_CASES = 20
+KEYGEN_CASES = 40
 
 
 # --- cases ---------------------------------------------------------------------
@@ -89,11 +91,17 @@ def embed_cases(rnd: random.Random, count: int) -> list[dict]:
 def keygen_cases(rnd: random.Random, count: int) -> list[dict]:
     return [
         {
-            "size": rnd.randint(1, 512),
+            "size": rnd.choices([rnd.randint(1, 512), rnd.randint(1024, 4096)],
+                                weights=[4, 1])[0],
             "alphabet": rnd.choice([2, 16, 64, 256]),
             "message_seed": rnd.getrandbits(32),
             "seed": hex(rnd.getrandbits(64)),
             "emit_master_key": rnd.random() < 0.5,
+            # None keeps a flag's default; extra_genes is added to the
+            # message's distinct count
+            "pop": rnd.choice([None, 2, 3, 8]),
+            "extra_genes": rnd.choice([None, rnd.randint(1, 40)]),
+            "max_gens": rnd.choice([None, rnd.randint(1, 50)]),
         }
         for _ in range(count)
     ]
@@ -159,8 +167,14 @@ def run_embed_case(case: dict, g, np) -> dict:
 def run_keygen_case(case: dict, main, np, scratch: Path) -> dict:
     rng = np.random.default_rng(case["message_seed"])
     path = scratch / "message.bin"
-    path.write_bytes(rng.integers(0, case["alphabet"], case["size"], dtype=np.uint8).tobytes())
+    message = rng.integers(0, case["alphabet"], case["size"], dtype=np.uint8).tobytes()
+    path.write_bytes(message)
     argv = ["keygen-ga", "--message", str(path), "--seed", case["seed"]]
+    genes = None if case["extra_genes"] is None else len(set(message)) + case["extra_genes"]
+    for flag, value in (("--pop", case["pop"]), ("--genes", genes),
+                        ("--max-gens", case["max_gens"])):
+        if value is not None:
+            argv += [flag, str(value)]
     if case["emit_master_key"]:
         argv.append("--emit-master-key")
     out, err = io.StringIO(), io.StringIO()

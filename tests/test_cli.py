@@ -277,15 +277,19 @@ class TestKeygenGa:
         key_line = [l for l in out.splitlines() if l.startswith("master_key")][0]
         assert len(key_line.split(": ")[1]) == 16
 
-    def test_unreachable_optimum_is_2(self, tmp_path):
+    def test_unreachable_optimum_is_2(self, tmp_path, capsys):
         msg = tmp_path / "m.bin"
         msg.write_bytes(b"AB")
         assert main(["keygen-ga", "--message", str(msg), "--genes", "1"]) == 2
+        assert capsys.readouterr().err == (
+            "error: 1 genes per individual cannot cover 2 distinct values\n"
+        )
 
-    def test_empty_message_is_2(self, tmp_path):
+    def test_empty_message_is_2(self, tmp_path, capsys):
         msg = tmp_path / "m.bin"
         msg.write_bytes(b"")
         assert main(["keygen-ga", "--message", str(msg)]) == 2
+        assert capsys.readouterr().err == "error: cannot profile an empty message\n"
 
     def test_stalled_ga_is_2(self, tmp_path, capsys):
         # a dense_payload-style 512 B message on which the GA never rises

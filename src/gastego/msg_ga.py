@@ -1,6 +1,6 @@
 """Set-operator genetic algorithm over a message's byte values.
 
-Individuals are fixed-length integer vectors drawn from the message's value
+Individuals are fixed-length byte strings drawn from the message's value
 range. Fitness counts how many distinct message values an individual covers
 (set intersection); mutation re-introduces "scarce" values that the whole
 population has lost (set difference against the population's gene union).
@@ -25,10 +25,12 @@ so a generation touches only the two offspring and the two members it kills:
 each offspring is inserted after every member of equal fitness, the two kills
 come from the least-fit run at the tail, and the best is always the first
 member. A flag per member marks the copies of the best, so the kills skip
-them without comparing individuals. Individuals are `bytes` inside evolve(),
-and the population's gene counts are one 256-entry array, moved once per
-generation by the two offspring less the two kills; the scarce set is always
-the message values whose count is 0.
+them without comparing individuals.
+
+Individuals are `bytes`, and the only other population state is a 256-entry
+gene-count array, moved once per generation by the offspring less the kills.
+Each generation reads the scarce pool from it once; the first offspring's
+mutation removes from it the drawn value, its one gene not already counted.
 
 This GA stands alone; optionally its winner can be folded into a master key
 seed for the embedding pipeline (see derive_key_from_genes).
@@ -37,7 +39,6 @@ seed for the embedding pipeline (see derive_key_from_genes).
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
-from collections import Counter
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -52,16 +53,6 @@ from .keystream import (
     derive_seed,
     stream_outputs,
 )
-
-
-@dataclass(frozen=True)
-class MessageProfile:
-    """The message as gene material: its values, their set, and the range."""
-
-    values: tuple[int, ...]
-    distinct: frozenset[int]
-    min_val: int
-    max_val: int
 
 
 @dataclass(frozen=True)
@@ -83,12 +74,9 @@ class MsgGaParams:
             raise ValueError("max_generations must be >= 1")
 
 
-Individual = tuple[int, ...]
-
-
 @dataclass
 class EvolveResult:
-    best: Individual
+    best: tuple[int, ...]
     best_fitness: int
     target_fitness: int
     generations: int
@@ -96,33 +84,20 @@ class EvolveResult:
     population_sizes: list[int] = field(repr=False)
 
 
-def profile_message(message: bytes) -> MessageProfile:
-    """Byte values plus the derived set/range facts; rejects empty input."""
-    if not message:
-        raise EmptyMessage("cannot profile an empty message")
-    values = tuple(message)
-    return MessageProfile(values, frozenset(values), min(values), max(values))
-
-
 def init_population(
-    profile: MessageProfile, size: int, genes: int, rng: SplitMix64
-) -> list[Individual]:
-    """size individuals of `genes` uniform draws from [min_val, max_val].
+    message: bytes, size: int, genes: int, rng: SplitMix64
+) -> list[bytes]:
+    """size individuals of `genes` uniform draws from [min, max] of message.
 
     Row-major, one rng.next_below(span) per gene, read as one block of the
     stream; rng is left where those draws leave it.
     """
-    span = profile.max_val - profile.min_val + 1
+    low = min(message)
     count = size * genes
-    draws = _mulhi_small(stream_outputs(rng.state, 1, count), span)
+    draws = _mulhi_small(stream_outputs(rng.state, 1, count), max(message) - low + 1)
     rng.state = (rng.state + count * GAMMA) & MASK64
-    flat = (draws + profile.min_val).tolist()
-    return [tuple(flat[i * genes : (i + 1) * genes]) for i in range(size)]
-
-
-def set_fitness(individual: Individual, profile: MessageProfile) -> int:
-    """How many distinct message values the individual contains."""
-    return len(profile.distinct.intersection(individual))
+    flat = (draws + low).astype(np.uint8).tobytes()
+    return [flat[i * genes : (i + 1) * genes] for i in range(size)]
 
 
 def evolve(message: bytes, params: MsgGaParams = MsgGaParams()) -> EvolveResult:
@@ -132,8 +107,10 @@ def evolve(message: bytes, params: MsgGaParams = MsgGaParams()) -> EvolveResult:
     reach full coverage, and EmptyMessage for a zero-byte message.
     Deterministic for a given (message, params).
     """
-    profile = profile_message(message)
-    target = len(profile.distinct)
+    if not message:
+        raise EmptyMessage("cannot profile an empty message")
+    distinct = frozenset(message)
+    target = len(distinct)
     L = params.population_size or max(2, len(message))
     n = params.genes_per_individual or target
     if n < target:
@@ -142,36 +119,27 @@ def evolve(message: bytes, params: MsgGaParams = MsgGaParams()) -> EvolveResult:
         )
 
     rng = SplitMix64(derive_seed(MasterKey(params.seed), "msg-ga", 0))
-    pop = [bytes(ind) for ind in init_population(profile, L, n, rng)]
+    pop = init_population(message, L, n, rng)
     # fittest first, ties in insertion order; neg holds the negated fitnesses
     # so that bisect_right places a newcomer after every equal member
-    neg = [-set_fitness(ind, profile) for ind in pop]
+    neg = [-len(distinct.intersection(ind)) for ind in pop]
     order = sorted(range(L), key=neg.__getitem__)
     pop = [pop[i] for i in order]
     neg = [neg[i] for i in order]
-    # gene counts across the population; missing is always the message
-    # values whose count is 0
+
     def gene_counts(genes: bytes) -> np.ndarray:
         return np.bincount(np.frombuffer(genes, np.uint8), minlength=256)
 
     wanted = gene_counts(message) > 0
     counts = gene_counts(b"".join(pop))
-    missing = set(np.flatnonzero(wanted & (counts == 0)).tolist())
 
-    def mutate(child: bytes) -> bytes:
-        if not missing:
-            return child
-        child_counts = Counter(child)
-        slots = [
-            i
-            for i, g in enumerate(child)
-            if g not in profile.distinct or child_counts[g] > 1
-        ]
-        if not slots:
-            slots = list(range(n))
-        pos = slots[rng.next_below(len(slots))]
-        pool = sorted(missing)
-        gene = pool[rng.next_below(len(pool))]
+    def mutate(child: bytes, pool: list[int]) -> bytes:
+        # slots: genes that are not a message value held once. A child with
+        # none holds every message value, so its parents do and pool is empty.
+        genes = np.frombuffer(child, np.uint8)
+        slots = np.flatnonzero(~(wanted & (gene_counts(child) == 1))[genes])
+        pos = int(slots[rng.next_below(len(slots))])
+        gene = pool.pop(rng.next_below(len(pool)))
         return child[:pos] + bytes((gene,)) + child[pos + 1 :]
 
     # dup[i]: pop[i] is a copy of the best, pop[0]. The best's value changes
@@ -187,13 +155,13 @@ def evolve(message: bytes, params: MsgGaParams = MsgGaParams()) -> EvolveResult:
         # start), so n >= 2 and there is a cut point
         p1, p2 = pop[0], pop[1]
         cut = 1 + rng.next_below(n - 1)
-        # the second offspring's mutation sees what the first re-introduced
+        pool = np.flatnonzero(wanted & (counts == 0)).tolist()
         born = dead = b""
         for child in (p1[:cut] + p2[cut:], p2[:cut] + p1[cut:]):
-            child = mutate(child)
-            missing.difference_update(child)
+            if pool:
+                child = mutate(child, pool)
             born += child
-            f = -set_fitness(child, profile)
+            f = -len(distinct.intersection(child))
             i = bisect_right(neg, f)
             pop.insert(i, child)
             neg.insert(i, f)
@@ -213,15 +181,13 @@ def evolve(message: bytes, params: MsgGaParams = MsgGaParams()) -> EvolveResult:
             dead += pop[i]
             del pop[i], neg[i], dup[i]
         counts += gene_counts(born) - gene_counts(dead)
-        if not profile.distinct.isdisjoint(dead):
-            missing = set(np.flatnonzero(wanted & (counts == 0)).tolist())
         history.append(-neg[0])
         sizes.append(len(pop))
 
     return EvolveResult(tuple(pop[0]), -neg[0], target, generations, history, sizes)
 
 
-def derive_key_from_genes(genes: Individual) -> MasterKey:
+def derive_key_from_genes(genes: tuple[int, ...]) -> MasterKey:
     """Fold an individual's genes into a master key seed, deterministically."""
     acc = 0
     for gene in genes:

@@ -14,8 +14,6 @@ from gastego.msg_ga import (
     derive_key_from_genes,
     evolve,
     init_population,
-    profile_message,
-    set_fitness,
 )
 
 
@@ -28,22 +26,24 @@ def reference_evolve(message, params=MsgGaParams()):
     by scanning the whole population. evolve must agree with it in every
     output field.
     """
-    profile = profile_message(message)
-    target = len(profile.distinct)
+    if not message:
+        raise EmptyMessage("cannot profile an empty message")
+    distinct = set(message)
+    target = len(distinct)
     L = params.population_size or max(2, len(message))
     n = params.genes_per_individual or target
     if n < target:
         raise UnreachableOptimum(f"{n} genes cannot cover {target} values")
 
+    def fitness(ind):
+        return len(set(ind) & distinct)
+
     rng = SplitMix64(derive_seed(MasterKey(params.seed), "msg-ga", 0))
-    span = profile.max_val - profile.min_val + 1
-    pop = [
-        tuple(profile.min_val + rng.next_below(span) for _ in range(n))
-        for _ in range(L)
-    ]
-    fits = [set_fitness(ind, profile) for ind in pop]
+    low, span = min(message), max(message) - min(message) + 1
+    pop = [tuple(low + rng.next_below(span) for _ in range(n)) for _ in range(L)]
+    fits = [fitness(ind) for ind in pop]
     counts = Counter(g for ind in pop for g in ind)
-    missing = {v for v in profile.distinct if counts[v] == 0}
+    missing = {v for v in distinct if counts[v] == 0}
 
     def note_insert(ind):
         for g in ind:
@@ -53,24 +53,26 @@ def reference_evolve(message, params=MsgGaParams()):
     def note_discard(ind):
         for g in ind:
             counts[g] -= 1
-            if counts[g] == 0 and g in profile.distinct:
+            if counts[g] == 0 and g in distinct:
                 missing.add(g)
 
     def mutate(child):
+        """child with one scarce gene put in, and that gene (None if none)."""
         if not missing:
-            return child
+            return child, None
         child_counts = Counter(child)
         slots = [
             i
             for i, g in enumerate(child)
-            if g not in profile.distinct or child_counts[g] > 1
+            if g not in distinct or child_counts[g] > 1
         ]
-        if not slots:
-            slots = list(range(n))
+        # evolve relies on this: a child holding every message value exactly
+        # once has parents holding them all, so nothing is missing
+        assert slots, (child, missing)
         pos = slots[rng.next_below(len(slots))]
         pool = sorted(missing)
         gene = pool[rng.next_below(len(pool))]
-        return child[:pos] + (gene,) + child[pos + 1 :]
+        return child[:pos] + (gene,) + child[pos + 1 :], gene
 
     history = [max(fits)]
     sizes = [len(pop)]
@@ -87,12 +89,17 @@ def reference_evolve(message, params=MsgGaParams()):
             o2 = p2[:cut] + p1[cut:]
         else:
             o1, o2 = p1, p2
-        o1 = mutate(o1)
+        o1, gene = mutate(o1)
+        before = set(missing)
         note_insert(o1)
-        o2 = mutate(o2)
+        # evolve relies on this too: the first offspring takes out of the
+        # missing values only the gene it drew, so the second offspring's
+        # pool is the generation's pool less that gene
+        assert before - missing == ({gene} if before else set()), (o1, before)
+        o2, _ = mutate(o2)
         note_insert(o2)
         pop += [o1, o2]
-        fits += [set_fitness(o1, profile), set_fitness(o2, profile)]
+        fits += [fitness(o1), fitness(o2)]
         best_ind = pop[max(range(len(pop)), key=lambda i: (fits[i], -i))]
         kill = sorted(
             range(len(pop)), key=lambda i: (fits[i], pop[i] == best_ind, i)
@@ -112,47 +119,19 @@ def outputs(res):
             res.fitness_history, res.population_sizes)
 
 
-class TestProfileMessage:
-    def test_two_distinct(self):
-        p = profile_message(b"AB")
-        assert p.values == (65, 66)
-        assert p.distinct == {65, 66}
-        assert (p.min_val, p.max_val) == (65, 66)
-
-    def test_repeats_collapse_in_set(self):
-        p = profile_message(b"AAA")
-        assert p.values == (65, 65, 65)
-        assert p.distinct == {65}
-
-    def test_min_max_recomputed_property(self):
-        rnd = random.Random(1)
-        for _ in range(200):
-            msg = bytes(rnd.randrange(256) for _ in range(rnd.randint(1, 40)))
-            p = profile_message(msg)
-            assert p.min_val == min(msg)
-            assert p.max_val == max(msg)
-            assert p.distinct == set(msg)
-
-    def test_empty_rejected(self):
-        with pytest.raises(EmptyMessage):
-            profile_message(b"")
-
-
 class TestInitPopulation:
     def test_degenerate_range(self):
-        p = profile_message(b"AAAA")
-        pop = init_population(p, 4, 3, SplitMix64(1))
-        assert all(ind == (65, 65, 65) for ind in pop)
+        pop = init_population(b"AAAA", 4, 3, SplitMix64(1))
+        assert pop == [b"AAA"] * 4
 
     def test_size_and_bounds(self):
         rnd = random.Random(2)
         for _ in range(100):
             msg = bytes(rnd.randrange(256) for _ in range(rnd.randint(2, 30)))
-            p = profile_message(msg)
-            pop = init_population(p, 9, 5, SplitMix64(rnd.getrandbits(64)))
+            pop = init_population(msg, 9, 5, SplitMix64(rnd.getrandbits(64)))
             assert len(pop) == 9
             assert all(len(ind) == 5 for ind in pop)
-            assert all(p.min_val <= g <= p.max_val for ind in pop for g in ind)
+            assert all(min(msg) <= g <= max(msg) for ind in pop for g in ind)
 
 
     @pytest.mark.parametrize("message", [
@@ -163,30 +142,18 @@ class TestInitPopulation:
     def test_matches_one_draw_per_gene(self, message):
         # same individuals as one next_below per gene, row-major, and the
         # stream left where that loop leaves it, so later draws stay in step
-        p = profile_message(message)
-        span = p.max_val - p.min_val + 1
+        low, span = min(message), max(message) - min(message) + 1
         for seed, size, genes in [(0, 2, 1), (7, 5, 3), (2**64 - 1, 13, 40)]:
             rng, scalar = SplitMix64(seed), SplitMix64(seed)
-            pop = init_population(p, size, genes, rng)
+            pop = init_population(message, size, genes, rng)
             expected = [
-                tuple(p.min_val + scalar.next_below(span) for _ in range(genes))
+                bytes(low + scalar.next_below(span) for _ in range(genes))
                 for _ in range(size)
             ]
             assert pop == expected
-            assert all(type(g) is int for ind in pop for g in ind)
+            assert all(type(ind) is bytes for ind in pop)
             assert rng.state == scalar.state
             assert rng.next64() == scalar.next64()
-
-
-class TestSetFitness:
-    def test_full_coverage(self):
-        assert set_fitness((65, 66), profile_message(b"AB")) == 2
-
-    def test_duplicates_count_once(self):
-        assert set_fitness((65, 65), profile_message(b"AB")) == 1
-
-    def test_disjoint(self):
-        assert set_fitness((1, 2, 3), profile_message(b"A")) == 0
 
 
 class TestEvolve:
@@ -237,9 +204,8 @@ class TestEvolve:
         rnd = random.Random(7)
         for _ in range(25):
             msg = bytes(rnd.randrange(30, 200) for _ in range(rnd.randint(2, 40)))
-            p = profile_message(msg)
             res = evolve(msg, MsgGaParams(seed=rnd.getrandbits(64)))
-            assert all(p.min_val <= g <= p.max_val for g in res.best)
+            assert all(min(msg) <= g <= max(msg) for g in res.best)
 
 
 class TestReferenceEvolve:

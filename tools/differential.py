@@ -11,8 +11,11 @@ case by case: the stego WAV bytes, the key file text, the report fields, the
 bytes extracted from the written WAV and key text, and the error type and
 text of a case that fails. It also compares `keygen-ga` stdout, stderr and
 exit code on 40 messages, about four in five of 1 to 512 bytes and the rest
-of 1 to 4 KiB, each with the default or a drawn `--pop`, `--genes` (above
-the message's distinct count) and `--max-gens`.
+of 1 to 4 KiB. Each draws its bytes from a run of 2, 16, 64 or 256
+consecutive values, which starts above 0 in about half of the shorter runs,
+and takes the default or a drawn `--pop`, `--genes` (above the message's
+distinct count) and `--max-gens`. Two more cases fail before the GA runs: an
+empty message, and a `--genes` below the message's distinct count.
 
 Prints the count of each outcome and the first mismatching case, and exits 1
 on any mismatch (2 when the comparison cannot run). It needs the repository's git history, so it is a tool, not
@@ -89,22 +92,31 @@ def embed_cases(rnd: random.Random, count: int) -> list[dict]:
 
 
 def keygen_cases(rnd: random.Random, count: int) -> list[dict]:
-    return [
-        {
-            "size": rnd.choices([rnd.randint(1, 512), rnd.randint(1024, 4096)],
-                                weights=[4, 1])[0],
-            "alphabet": rnd.choice([2, 16, 64, 256]),
+    def case(size: int, alphabet: int, extra_genes: int | None) -> dict:
+        return {
+            "size": size,
+            "alphabet": alphabet,
+            # the message's values are [low, low + alphabet), so its minimum,
+            # the offset of every initial gene, is not always 0
+            "low": rnd.choice([0, rnd.randint(1, 256 - alphabet)]) if alphabet < 256 else 0,
             "message_seed": rnd.getrandbits(32),
             "seed": hex(rnd.getrandbits(64)),
             "emit_master_key": rnd.random() < 0.5,
             # None keeps a flag's default; extra_genes is added to the
             # message's distinct count
             "pop": rnd.choice([None, 2, 3, 8]),
-            "extra_genes": rnd.choice([None, rnd.randint(1, 40)]),
+            "extra_genes": extra_genes,
             "max_gens": rnd.choice([None, rnd.randint(1, 50)]),
         }
+
+    cases = [
+        case(rnd.choices([rnd.randint(1, 512), rnd.randint(1024, 4096)], weights=[4, 1])[0],
+             rnd.choice([2, 16, 64, 256]), rnd.choice([None, rnd.randint(1, 40)]))
         for _ in range(count)
     ]
+    # the two errors keygen-ga reports before the GA runs: an empty message,
+    # and fewer genes than a 64-byte message's (about 16) distinct values
+    return cases + [case(0, 16, None), case(64, 16, -rnd.randint(1, 8))]
 
 
 # --- worker: runs the cases against one source tree ------------------------------
@@ -167,7 +179,8 @@ def run_embed_case(case: dict, g, np) -> dict:
 def run_keygen_case(case: dict, main, np, scratch: Path) -> dict:
     rng = np.random.default_rng(case["message_seed"])
     path = scratch / "message.bin"
-    message = rng.integers(0, case["alphabet"], case["size"], dtype=np.uint8).tobytes()
+    low = case["low"]
+    message = rng.integers(low, low + case["alphabet"], case["size"], dtype=np.uint8).tobytes()
     path.write_bytes(message)
     argv = ["keygen-ga", "--message", str(path), "--seed", case["seed"]]
     genes = None if case["extra_genes"] is None else len(set(message)) + case["extra_genes"]

@@ -1,5 +1,6 @@
 """Keyed randomness: golden vectors, statistical behavior, batch equivalence."""
 
+import hashlib
 import random
 import warnings
 
@@ -14,6 +15,7 @@ from gastego.keystream import (
     MasterKey,
     SplitMix64,
     _mulhi_small,
+    _walk_draws,
     derive_seed,
     fnv1a64,
     mix64,
@@ -45,6 +47,25 @@ def reference_permute_indices(n, key):
     for i, j in zip(range(n - 1, 0, -1), js):
         out[i], out[j] = out[j], out[i]
     return out
+
+
+# the number of walk steps _walk_draws builds at a time
+WALK_BLOCK = 1 << 14
+
+
+def reference_walk_draws(n, key):
+    """draw and nxt one step at a time: draw[i] is step i's next_below(i + 1)
+    for i = n-1 .. 1 (draw[0] = 0), and nxt[t] is the smallest step i > t
+    that drew t (n if none)."""
+    rng = SplitMix64(derive_seed(key, "permute", 0))
+    draw = [0] * n
+    for i in range(n - 1, 0, -1):
+        draw[i] = rng.next_below(i + 1)
+    first = {}
+    for i in range(1, n):
+        if draw[i] != i:
+            first.setdefault(draw[i], i)
+    return draw, [first.get(t, n) for t in range(n)]
 
 
 class TestSplitMix64:
@@ -199,8 +220,33 @@ class TestPermuteIndices:
             key = MasterKey(rnd.getrandbits(64))
             full = reference_permute_indices(n, key)
             assert permute_indices(n, key) == full
-            for count in {0, 1, 2, max(n - 1, 0), n, n + 5}:
+            # around the walk's block boundary, and one count in between
+            b, mid = WALK_BLOCK, key.seed % (n + 1)
+            for count in {0, 1, 2, max(n - 1, 0), n, n + 5, b - 1, b, b + 1, mid}:
                 assert permute_indices(n, key, count) == full[:count]
+
+    @pytest.mark.parametrize(
+        "n", [2, 3, WALK_BLOCK - 1, WALK_BLOCK, WALK_BLOCK + 1, 2 * WALK_BLOCK + 1])
+    def test_walk_draws_match_reference(self, n):
+        key = MasterKey(random.Random(n).getrandbits(64))
+        draw, nxt = _walk_draws(n, key)
+        ref_draw, ref_nxt = reference_walk_draws(n, key)
+        assert draw.tolist() == ref_draw
+        assert nxt.tolist() == ref_nxt
+
+    @pytest.mark.parametrize("seed, head, digest", [
+        (0, [471470, 649572, 895830, 601016, 239572, 991431, 524452, 7267,
+             865585, 951006, 157603, 757104, 549891, 625292, 405499, 358316],
+         "5c502765fbc917b8045e83418219b243a1b34473beb3f399e4d1ae8115ae9c99"),
+        (0x5EEDF00DCAFED00D,
+         [470664, 68384, 3210, 127727, 268803, 118567, 359049, 371210,
+          490692, 478895, 679692, 848313, 394153, 165628, 47219, 203912],
+         "a82200803cf9e608a48dd5bc2ca5b863414dec2b5495515efc27d9272af9d6e0"),
+    ])
+    def test_golden_million_sample_prefix(self, seed, head, digest):
+        prefix = permute_indices(1_000_000, MasterKey(seed), 4096)
+        assert prefix[:16] == head
+        assert hashlib.sha256(",".join(map(str, prefix)).encode()).hexdigest() == digest
 
     @given(st.integers(0, 400), st.integers(0, MASK64), st.integers(0, 410))
     @settings(max_examples=200)

@@ -147,24 +147,33 @@ def permute_indices(n: int, key: MasterKey, count: int | None = None) -> list[in
     return out
 
 
+# steps of the walk whose draws and links are built at a time
+_WALK_BLOCK = 1 << 14
+
+
 @functools.lru_cache(maxsize=1)
 def _walk_draws(n: int, key: MasterKey) -> tuple[np.ndarray, np.ndarray]:
     """The walk's draws, draw[i] = step i's next_below(i+1) (draw[0] = 0), and
     nxt[t], the smallest step i > t with draw[i] == t (n if none).
 
-    Cached for the latest walk, so a caller that extends its prefix in steps
-    builds them once. Both arrays are read-only.
+    Both arrays are filled one block of _WALK_BLOCK steps at a time, so no
+    temporary is n long. Cached for the latest walk, so a caller that extends
+    its prefix in steps builds them once. Both arrays are read-only.
     """
     dtype = np.int32 if n < 2**31 else np.int64
-    # draws are precomputed in bulk; the closed-form stream makes this
-    # identical to stepping a SplitMix64 and calling next_below(i + 1)
-    outputs = stream_outputs(derive_seed(key, "permute", 0), 1, n - 1)
-    draw = np.zeros(n, dtype=dtype)
-    draw[:0:-1] = _mulhi_small(outputs, np.arange(n, 1, -1, dtype=np.uint64))
-    del outputs
-    swaps = np.flatnonzero(draw != np.arange(n, dtype=dtype)).astype(dtype)
+    seed = derive_seed(key, "permute", 0)
+    draw = np.empty(n, dtype=dtype)
     nxt = np.full(n, n, dtype=dtype)
-    np.minimum.at(nxt, draw[swaps], swaps)
+    for start in range(0, n, _WALK_BLOCK):
+        stop = min(start + _WALK_BLOCK, n)
+        steps = np.arange(start, stop, dtype=dtype)
+        # step i reads stream output n - i; the closed-form stream makes this
+        # identical to stepping a SplitMix64 and calling next_below(i + 1)
+        outputs = stream_outputs(seed, n - stop + 1, stop - start)[::-1]
+        draw[start:stop] = _mulhi_small(outputs, steps.astype(np.uint64) + np.uint64(1))
+        d = draw[start:stop]
+        # a step that drew its own position swaps nothing and links nothing
+        np.minimum.at(nxt, d, np.where(d == steps, n, steps))
     draw.flags.writeable = False
     nxt.flags.writeable = False
     return draw, nxt

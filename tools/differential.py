@@ -6,7 +6,10 @@ Extracts `src/` at REV with `git archive`, then runs the same seeded cases
 through that tree and through the working tree's `src/`, each in its own
 worker process. An embed case draws a mode, one to three layers, a bit
 depth, a threshold, GA parameters, a cover of 300 to 20,000 samples and a
-message that sometimes fills or overflows the cover. The check compares,
+message that sometimes fills or overflows the cover. About one case in ten
+takes a cover of 20,000 to 300,000 samples instead, so that the permutation
+walk spans many of its 16,384-step blocks, with a message under 1 KiB that
+fits. The check compares,
 case by case: the stego WAV bytes, the key file text, the report fields, the
 bytes extracted from the written WAV and key text, and the error type and
 text of a case that fails. It also compares `keygen-ga` stdout, stderr and
@@ -56,16 +59,18 @@ def embed_cases(rnd: random.Random, count: int) -> list[dict]:
         layers = sorted(rnd.sample(range(1, depth + 1), rnd.randint(1, 3)))
         mode = rnd.choice(["plain", "nearest", "ga"])
         channels = rnd.choice([1, 2])
-        n = rnd.randint(300, 20_000) // channels * channels
+        large = rnd.random() < 0.1
+        n = rnd.randint(*(20_000, 300_000) if large else (300, 20_000)) // channels * channels
         capacity = n * len(layers) // 8
-        # ga runs one GA per carrier, so its messages stay smaller
-        cap = capacity if mode != "ga" else min(capacity, 600)
+        # ga runs one GA per carrier, so its messages stay smaller; a large
+        # cover's message stays under 1 KiB, which its capacity always exceeds
+        cap = min(capacity, 600 if mode == "ga" else 1023 if large else capacity)
         size = rnd.choices([
             rnd.randint(1, max(1, cap // 20)),  # a short message
             rnd.randint(1, max(1, cap)),  # anything up to the cap
             max(1, cap - rnd.randint(0, 3)),  # full: rejections may run it out
             capacity + rnd.randint(1, 8),  # does not fit at all
-        ], weights=[4, 4, 1, 1])[0]
+        ], weights=[4, 4, 1, 0 if large else 1])[0]
         ga = {"population_size": 16, "generations": 64,
               "crossover_prob": 0.8, "mutation_prob": 0.1}
         if rnd.random() < 0.3:

@@ -168,7 +168,8 @@ def _walk_draws(n: int, key: MasterKey) -> tuple[np.ndarray, np.ndarray]:
         stop = min(start + _WALK_BLOCK, n)
         steps = np.arange(start, stop, dtype=dtype)
         # step i reads stream output n - i; the closed-form stream makes this
-        # identical to stepping a SplitMix64 and calling next_below(i + 1)
+        # identical to stepping a SplitMix64 and calling next_below(i + 1).
+        # Position 0, which no step draws for, gets next_below(1) = 0.
         outputs = stream_outputs(seed, n - stop + 1, stop - start)[::-1]
         draw[start:stop] = _mulhi_small(outputs, steps.astype(np.uint64) + np.uint64(1))
         d = draw[start:stop]

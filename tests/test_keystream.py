@@ -14,6 +14,7 @@ from gastego.keystream import (
     MASK64,
     MasterKey,
     SplitMix64,
+    _WALK_BLOCK,
     _mulhi_small,
     _walk_draws,
     derive_seed,
@@ -47,10 +48,6 @@ def reference_permute_indices(n, key):
     for i, j in zip(range(n - 1, 0, -1), js):
         out[i], out[j] = out[j], out[i]
     return out
-
-
-# the number of walk steps _walk_draws builds at a time
-WALK_BLOCK = 1 << 14
 
 
 def reference_walk_draws(n, key):
@@ -221,12 +218,12 @@ class TestPermuteIndices:
             full = reference_permute_indices(n, key)
             assert permute_indices(n, key) == full
             # around the walk's block boundary, and one count in between
-            b, mid = WALK_BLOCK, key.seed % (n + 1)
+            b, mid = _WALK_BLOCK, key.seed % (n + 1)
             for count in {0, 1, 2, max(n - 1, 0), n, n + 5, b - 1, b, b + 1, mid}:
                 assert permute_indices(n, key, count) == full[:count]
 
     @pytest.mark.parametrize(
-        "n", [2, 3, WALK_BLOCK - 1, WALK_BLOCK, WALK_BLOCK + 1, 2 * WALK_BLOCK + 1])
+        "n", [2, 3, _WALK_BLOCK - 1, _WALK_BLOCK, _WALK_BLOCK + 1, 2 * _WALK_BLOCK + 1])
     def test_walk_draws_match_reference(self, n):
         key = MasterKey(random.Random(n).getrandbits(64))
         draw, nxt = _walk_draws(n, key)

@@ -8,13 +8,15 @@ Conventions used everywhere in this package:
   16-bit. Distances are measured on values, so an adjustment that crosses
   the sign boundary is scored by audible amplitude error.
 * Layer j addresses the bit with place value 2**(j-1); layer 1 is the LSB.
-* Bit patterns are ordered lowest target layer first.
+* Payload bits travel in rows of k bits, one row per carrier, ordered lowest
+  target layer first. LayerMask.pack turns rows into *packed patterns* (raw
+  values with the row's bits at the mask positions) and LayerMask.unpack
+  reads rows back; they are the only place that maps bits to layers.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
@@ -46,25 +48,31 @@ class LayerMask:
     @property
     def bits(self) -> int:
         """The mask as an integer (1 at every target position)."""
-        m = 0
-        for layer in self.layers:
-            m |= 1 << (layer - 1)
-        return m
+        return sum(1 << (layer - 1) for layer in self.layers)
 
-    def pack(self, pattern: Sequence[int]) -> int:
-        """Place a lowest-layer-first bit pattern at the mask positions."""
-        if len(pattern) != self.k:
-            raise ValueError(f"pattern length {len(pattern)} != mask size {self.k}")
-        v = 0
-        for layer, bit in zip(self.layers, pattern):
-            if bit not in (0, 1):
-                raise ValueError(f"pattern bits must be 0 or 1, got {bit!r}")
-            v |= bit << (layer - 1)
-        return v
+    def pack(self, bits) -> np.ndarray:
+        """Packed int64 patterns of shape (...) from 0/1 rows of shape (..., k).
 
-    def unpack(self, raw: int) -> tuple[int, ...]:
-        """Read the mask positions of a raw sample, lowest layer first."""
-        return tuple((raw >> (layer - 1)) & 1 for layer in self.layers)
+        Bit i of a row goes to the mask's i-th lowest layer, and every other
+        bit is 0. A single row gives a scalar.
+        """
+        bits = np.asarray(bits)
+        if bits.shape[-1:] != (self.k,):
+            raise ValueError(f"bit rows of shape {bits.shape} need length {self.k}")
+        if not ((bits == 0) | (bits == 1)).all():
+            raise ValueError("pattern bits must be 0 or 1")
+        return bits.astype(np.int64) @ (np.int64(1) << self._shifts())
+
+    def unpack(self, raw) -> np.ndarray:
+        """Bit rows of shape (..., k) at the mask positions of raw samples (...).
+
+        The inverse of pack. No bit above the bit depth is read, so a 16-bit
+        sample value, negative in two's complement, reads like its raw form.
+        """
+        return (np.asarray(raw, dtype=np.int64)[..., None] >> self._shifts()) & 1
+
+    def _shifts(self) -> np.ndarray:
+        return np.array(self.layers, dtype=np.int64) - 1
 
 
 def values_of(raw: np.ndarray, bit_depth: int) -> np.ndarray:
@@ -83,7 +91,8 @@ def values_of(raw: np.ndarray, bit_depth: int) -> np.ndarray:
 # nearest candidates are the floor and ceiling of that monotone map.
 
 
-def _bias_bit(bit_depth: int) -> int:
+def bias_bit(bit_depth: int) -> int:
+    """The bit whose XOR maps raw samples to the biased domain: 0x8000 at 16-bit."""
     return 1 << 15 if bit_depth == 16 else 0
 
 
@@ -106,7 +115,7 @@ def adjust_nearest_packed(samples, mask: LayerMask, pattern_bits) -> np.ndarray:
     at its end.
     """
     bd = mask.bit_depth
-    bias = _bias_bit(bd)
+    bias = bias_bit(bd)
     target = mask.bits
     free = ((1 << bd) - 1) & ~target
     samples = np.asarray(samples, dtype=np.int64)

@@ -227,16 +227,18 @@ def cmd_oracle_check(args) -> int:
 
     # closed-form adjuster vs enumeration: exhaustive at 8-bit over every
     # mask of one or two layers, sampled at 16-bit from cases drawn in sequence
-    cases8: dict[LayerMask, list[tuple[int, int]]] = {}
+    cases8 = {}
     for k in (1, 2):
         for layers in combinations(range(1, 9), k):
             mask = LayerMask(layers, 8)
-            patterns = map(mask.pack, product((0, 1), repeat=k))
-            cases8[mask] = [(s, bits) for bits in patterns for s in range(256)]
-    cases16: dict[LayerMask, list[tuple[int, int]]] = {}
+            patterns = mask.pack(list(product((0, 1), repeat=k)))
+            samples = np.tile(np.arange(256), len(patterns))
+            cases8[mask] = (samples, np.repeat(patterns, 256))
+    rows16: dict[LayerMask, list[tuple[int, int]]] = {}
     for _ in range(2000):
         mask, s, pattern = _draw_case(rng, 16)
-        cases16.setdefault(mask, []).append((s, pattern))
+        rows16.setdefault(mask, []).append((s, pattern))
+    cases16 = {mask: np.array(rows, dtype=np.int64).T for mask, rows in rows16.items()}
     violated = False
     for bd, cases in ((8, cases8), (16, cases16)):
         total, mismatches = _nearest_mismatches(cases)
@@ -301,19 +303,19 @@ def _draw_case(rng: SplitMix64, bit_depth: int) -> tuple[LayerMask, int, int]:
     return mask, s, mask.pack(tuple(rng.next_below(2) for _ in range(k)))
 
 
-def _nearest_mismatches(cases: dict[LayerMask, list[tuple[int, int]]]) -> tuple[int, int]:
+def _nearest_mismatches(cases: dict) -> tuple[int, int]:
     """Check adjust_nearest_packed against the enumeration oracle.
 
-    `cases` maps each mask to its (raw sample, packed pattern) rows; each
-    mask costs one call of each. Returns (cases, mismatches).
+    `cases` maps each mask to its raw samples and packed patterns, two int64
+    arrays of one length; each mask costs one call of each. Returns (cases,
+    mismatches).
     """
     total = mismatches = 0
-    for mask, rows in cases.items():
-        samples, patterns = np.array(rows, dtype=np.int64).T
+    for mask, (samples, patterns) in cases.items():
         got = bitplane.adjust_nearest_packed(samples, mask, patterns)
         want = bitplane.oracle_nearest(samples, mask, patterns)
         mismatches += int((got != want).sum())
-        total += len(rows)
+        total += len(samples)
     return total, mismatches
 
 

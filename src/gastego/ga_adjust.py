@@ -37,7 +37,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bitplane import LayerMask, adjust_nearest_packed
+from .bitplane import LayerMask, adjust_nearest_packed, bias_bit
 from .keystream import MASK64, _mulhi_small, stream_outputs
 
 
@@ -80,7 +80,7 @@ def run_ga_batch(
         return np.empty(0, dtype=np.int64)
     bd = mask.bit_depth
     mask_bits = mask.bits
-    bias = np.int64(1 << 15 if bd == 16 else 0)
+    bias = np.int64(bias_bit(bd))
     pc_thr = _prob_threshold(params.crossover_prob)
     pm_thr = _prob_threshold(params.mutation_prob)
     P = params.population_size

@@ -14,6 +14,7 @@ Generator (SplitMix64):
 
 Derived draws:
     next_below(n) = floor(next64() * n / 2**64)      (one output per draw, n < 2**32)
+    next_below_block(count, n)                       (count next_below(n) draws at once)
     byte stream   = each next64() emitted as 8 bytes, little-endian
 
 Seed mixing:
@@ -21,6 +22,11 @@ Seed mixing:
     derive_seed(key, purpose, index)
                   = mix64(mix64(key.seed XOR fnv1a64(purpose)) XOR index)
     where fnv1a64 is the 64-bit FNV-1a hash of the purpose string's UTF-8 bytes.
+
+Walk:
+    permute_indices(n, key, count)
+                  = the first count entries of the keyed Fisher-Yates shuffle
+                    of range(n) (see permute_indices), as an int64 array
 
 The XOR keystream is obfuscation keyed by the master seed, not cryptography;
 anyone who knows the seed recovers the message by design.
@@ -74,6 +80,13 @@ class SplitMix64:
         """
         return (self.next64() * n) >> 64
 
+    def next_below_block(self, count: int, n: int) -> np.ndarray:
+        """`count` next_below(n) draws as one uint64 array, read at once; the
+        stream ends where `count` next_below calls would leave it."""
+        draws = _mulhi_small(stream_outputs(self.state, 1, count), n)
+        self.state = (self.state + count * GAMMA) & MASK64
+        return draws
+
 
 def mix64(z: int) -> int:
     """One SplitMix64 step applied to state z; the seed-mixing primitive."""
@@ -107,9 +120,9 @@ def derive_seed(key: MasterKey, purpose: str, index: int | np.ndarray) -> int | 
     return mix64(h ^ (operator.index(index) & MASK64))
 
 
-def permute_indices(n: int, key: MasterKey, count: int | None = None) -> list[int]:
-    """The first `count` entries (all when None) of the keyed Fisher-Yates
-    permutation of range(n).
+def permute_indices(n: int, key: MasterKey, count: int) -> np.ndarray:
+    """The first `count` entries of the keyed Fisher-Yates permutation of
+    range(n), as an int64 array; `count` is clamped to 0..n.
 
     The normative walk is the full shuffle: i = n-1 .. 1, swap position i
     with position next_below(i+1), the stream seeded from
@@ -118,9 +131,7 @@ def permute_indices(n: int, key: MasterKey, count: int | None = None) -> list[in
     what the steps before the prefix leave in it follows from the draws
     alone. Cost is O(n) vectorized plus O(count) Python.
     """
-    size = n if count is None else max(0, min(count, n))
-    if n < 2:
-        return list(range(size))
+    size = max(0, min(count, n))
     draw, nxt = _walk_draws(n, key)
     # state of positions 0..size-1 after steps n-1 .. size: position p holds
     # pre(i) for the smallest step i >= size that drew p, else p itself
@@ -144,7 +155,7 @@ def permute_indices(n: int, key: MasterKey, count: int | None = None) -> list[in
     for i in range(size - 1, 0, -1):
         j = js[i]
         out[i], out[j] = out[j], out[i]
-    return out
+    return np.array(out, dtype=np.int64)
 
 
 # steps of the walk whose draws and links are built at a time

@@ -44,15 +44,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import EmptyMessage, UnreachableOptimum
-from .keystream import (
-    GAMMA,
-    MASK64,
-    MasterKey,
-    SplitMix64,
-    _mulhi_small,
-    derive_seed,
-    stream_outputs,
-)
+from .keystream import MasterKey, SplitMix64, derive_seed
 
 
 @dataclass(frozen=True)
@@ -89,13 +81,11 @@ def init_population(
 ) -> list[bytes]:
     """size individuals of `genes` uniform draws from [min, max] of message.
 
-    Row-major, one rng.next_below(span) per gene, read as one block of the
-    stream; rng is left where those draws leave it.
+    Row-major, one rng.next_below(span) per gene, drawn as one block; rng is
+    left where those draws leave it.
     """
     low = min(message)
-    count = size * genes
-    draws = _mulhi_small(stream_outputs(rng.state, 1, count), max(message) - low + 1)
-    rng.state = (rng.state + count * GAMMA) & MASK64
+    draws = rng.next_below_block(size * genes, max(message) - low + 1)
     flat = (draws + low).astype(np.uint8).tobytes()
     return [flat[i * genes : (i + 1) * genes] for i in range(size)]
 

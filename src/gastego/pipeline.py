@@ -5,10 +5,13 @@ visited sample is altered to carry the next payload bits, re-shaped by the
 configured engine to sit as close as possible to the original, then verified
 against the distortion threshold: accepted samples enter the output, rejected
 ones stay original and the same bits retry at the next position. Extraction
-replays the same walk, skipping the recorded rejections. The walk is the
-full keyed Fisher-Yates shuffle of the README; both sides resolve only the
-prefix they read (embed m positions plus one per rejection, extract
-m + len(skipped)), which changes no output byte.
+replays the same walk, skipping the recorded rejections. The payload's bit
+layout belongs to LayerMask: embed packs the ciphertext's bits into one
+pattern per carrier with LayerMask.pack, and extract reads them back from
+the used samples with LayerMask.unpack. The walk is the full keyed
+Fisher-Yates shuffle of the README; both sides resolve only the prefix they
+read (embed m positions plus one per rejection, extract m + len(skipped)),
+which changes no output byte.
 
 The engine runs over windows of the walk. The first window is the whole
 payload, so an embed without rejections makes one engine call. After a
@@ -176,7 +179,10 @@ def embed(
         )
     n = len(cover.samples)
     ciphertext = xor_keystream(bytes(message), config.key)
-    groups = _pattern_groups(ciphertext, mask)
+    # bytes are consumed most-significant bit first, in rows of k bits, and
+    # the last row is zero-padded
+    bits = np.unpackbits(np.frombuffer(ciphertext, dtype=np.uint8))
+    groups = mask.pack(np.pad(bits, (0, -len(bits) % mask.k)).reshape(-1, mask.k))
     m = len(groups)
     if m > n:
         raise InsufficientCapacity(
@@ -186,7 +192,7 @@ def embed(
     bit_depth = cover.bit_depth
     values = cover.samples
     stego_values = values.copy()  # accepted carriers are scattered into it
-    perm: list[int] = []  # the resolved prefix of the walk
+    perm = np.empty(0, dtype=np.int64)  # the resolved prefix of the walk
     skipped: list[int] = []
     max_dev = 0
     pos = 0  # cursor into the permuted walk
@@ -203,7 +209,7 @@ def embed(
             # the first window, or rejections ran the walk past its resolved
             # prefix: resolve at least twice as much
             perm = permute_indices(n, config.key, max(pos + width, 2 * len(perm)))
-        idxs = np.asarray(perm[pos : pos + width])
+        idxs = perm[pos : pos + width]
         raw = values[idxs] & ((1 << bit_depth) - 1)
         modified = bitplane.values_of(
             _engine(config, raw, idxs, groups[g : g + width]), bit_depth
@@ -256,9 +262,7 @@ def extract(stego: AudioBuffer, key: StegoKey) -> bytes:
     skipped = np.asarray(key.skipped_indices[:inside], dtype=np.int64)
     # at most len(skipped) of the first m + len(skipped) walk positions are
     # skipped, so that prefix holds every sample the payload used
-    perm = np.asarray(
-        permute_indices(n, key.config.key, m + len(skipped)), dtype=np.int64
-    )
+    perm = permute_indices(n, key.config.key, m + len(skipped))
     used = perm[~np.isin(perm, skipped)][:m]
     if len(used) < m:
         raise KeyMismatch(
@@ -270,29 +274,9 @@ def extract(stego: AudioBuffer, key: StegoKey) -> bytes:
             f"key skips sample {key.skipped_indices[-1]} but the stego buffer "
             f"has only {n} samples"
         )
-    raw = stego.samples[used] & ((1 << stego.bit_depth) - 1)
-    shifts = np.array([layer - 1 for layer in mask.layers], dtype=np.int64)
-    bits = (raw[:, None] >> shifts[None, :]) & 1
-    flat = bits.reshape(-1)[: 8 * key.payload_len_bytes]
+    flat = mask.unpack(stego.samples[used]).reshape(-1)[: 8 * key.payload_len_bytes]
     ciphertext = np.packbits(flat.astype(np.uint8)).tobytes()
     return xor_keystream(ciphertext, key.config.key)
-
-
-def _pattern_groups(ciphertext: bytes, mask: LayerMask) -> np.ndarray:
-    """Ciphertext as one packed bit pattern per sample, zero-padded at the end.
-
-    Bytes are consumed most-significant-bit first; within one group the first
-    bit goes to the lowest target layer.
-    """
-    if not ciphertext:
-        return np.empty(0, dtype=np.int64)
-    bits = np.unpackbits(np.frombuffer(ciphertext, dtype=np.uint8)).astype(np.int64)
-    k = mask.k
-    pad = (-len(bits)) % k
-    if pad:
-        bits = np.concatenate([bits, np.zeros(pad, dtype=np.int64)])
-    place = np.array([1 << (layer - 1) for layer in mask.layers], dtype=np.int64)
-    return bits.reshape(-1, k) @ place
 
 
 def _engine(

@@ -122,7 +122,7 @@ def test_criterion_4_ga_optimality_and_never_worse():
         bits = mask.pack(pattern)
         seed = rnd.getrandbits(64)
         [got] = run_ga_batch([s], [bits], mask, GaParams(), [seed]).tolist()
-        assert mask.unpack(got) == pattern
+        assert tuple(mask.unpack(got)) == pattern
         d = distance(got, s, 8)
         [best] = oracle_nearest([s], mask, [bits]).tolist()
         optimal += d == distance(best, s, 8)

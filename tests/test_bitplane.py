@@ -82,7 +82,31 @@ class TestLayerMask:
     def test_pack_unpack_lowest_layer_first(self):
         m = LayerMask((4, 5), 8)
         assert m.pack((1, 0)) == 0b0000_1000
-        assert m.unpack(0b0001_0000) == (0, 1)
+        assert m.unpack(0b0001_0000).tolist() == [0, 1]
+        # rows of shape (..., k) pack to patterns of shape (...), and back
+        rows = np.array([[[0, 0], [1, 0]], [[0, 1], [1, 1]]])
+        assert m.pack(rows).tolist() == [[0, 0b1000], [0b1_0000, 0b1_1000]]
+        assert (m.unpack(m.pack(rows)) == rows).all()
+
+    @pytest.mark.parametrize("row", [(1,), (1, 0, 1), (2, 0), (0, -1), (0.5, 1)])
+    def test_pack_rejects_bad_rows(self, row):
+        m = LayerMask((4, 5), 8)
+        with pytest.raises(ValueError):
+            m.pack(row)
+        with pytest.raises(ValueError):
+            m.pack(np.array([(1, 1), row, (0, 1)] if len(row) == 2 else [row, row]))
+
+    def test_unpack_reads_16_bit_values_like_raw(self):
+        # extract unpacks sample values: two's complement below bit 16 is the
+        # raw pattern, so a negative value reads like its raw form
+        values = np.arange(-(1 << 15), 1 << 15, dtype=np.int64)
+        for layers in ((1,), (16,), (1, 16), (3, 9, 14), tuple(range(1, 17))):
+            m = LayerMask(layers, 16)
+            assert (m.unpack(values) == m.unpack(values & 0xFFFF)).all()
+        every = LayerMask(tuple(range(1, 17)), 16)
+        raws = np.arange(1 << 16, dtype=np.int64)
+        assert (every.pack(every.unpack(raws)) == raws).all()
+        assert (every.pack(every.unpack(values)) == values & 0xFFFF).all()
 
     @pytest.mark.parametrize(
         "layers,bit_depth",
@@ -113,11 +137,11 @@ class TestValueConventions:
 
 class TestReadBits:
     def test_layer5_of_47(self):
-        assert LayerMask((5,), 8).unpack(47) == (0,)
+        assert LayerMask((5,), 8).unpack(47).tolist() == [0]
 
     def test_zero_sample_reads_zero(self):
         for layers in ((1,), (3, 7), (1, 8)):
-            assert LayerMask(layers, 8).unpack(0) == (0,) * len(layers)
+            assert LayerMask(layers, 8).unpack(0).tolist() == [0] * len(layers)
 
     def test_roundtrip_with_alter_exhaustive_small(self):
         samples = list(range(256))
@@ -126,7 +150,7 @@ class TestReadBits:
                 m = LayerMask(layers, 8)
                 for pattern in product((0, 1), repeat=k):
                     substituted = plain(samples, m, [m.pack(pattern)] * 256)
-                    assert all(m.unpack(c) == pattern for c in substituted)
+                    assert (m.unpack(substituted) == pattern).all()
 
 
 class TestAlter:
@@ -196,7 +220,7 @@ class TestAdjustNearest:
             bits = mask.pack(pattern)
             [adjusted] = adjust_nearest_packed([s], mask, [bits]).tolist()
             [substituted] = plain([s], mask, [bits])
-            assert mask.unpack(adjusted) == pattern
+            assert tuple(mask.unpack(adjusted)) == pattern
             assert distance(adjusted, s, bd) <= distance(substituted, s, bd)
 
 

@@ -93,6 +93,13 @@ class TestSplitMix64:
             got = SplitMix64(rng.state).next_below(n)
             assert got == expected
             assert 0 <= got < n
+            # a block of draws gives the same values and leaves the stream,
+            # whose state wraps past 2**64 here, in step
+            for count in (0, 1, 40):
+                block, scalar = SplitMix64(rng.state), SplitMix64(rng.state)
+                draws = block.next_below_block(count, n).tolist()
+                assert draws == [scalar.next_below(n) for _ in range(count)]
+                assert block.state == scalar.state
             rng.next64()
 
     def test_stream_outputs_closed_form(self):
@@ -184,19 +191,23 @@ class TestDeriveSeed:
 
 class TestPermuteIndices:
     def test_empty_and_single(self):
-        assert permute_indices(0, MasterKey(1)) == []
-        assert permute_indices(1, MasterKey(1)) == [0]
+        # the general walk handles n = 0 and 1; count is clamped to 0..n
+        for n in (0, 1):
+            for count in (-3, 0, 1, 2, 5):
+                out = permute_indices(n, MasterKey(1), count)
+                assert out.dtype == np.int64
+                assert out.tolist() == list(range(max(0, min(count, n))))
 
     def test_golden(self):
-        assert permute_indices(8, MasterKey(42)) == [0, 6, 4, 1, 2, 3, 7, 5]
-        assert permute_indices(16, MasterKey(0)) == [
+        assert permute_indices(8, MasterKey(42), 8).tolist() == [0, 6, 4, 1, 2, 3, 7, 5]
+        assert permute_indices(16, MasterKey(0), 16).tolist() == [
             1, 5, 3, 14, 9, 12, 13, 4, 7, 11, 15, 8, 0, 10, 2, 6,
         ]
 
     @given(st.integers(0, 400), st.integers(0, MASK64))
     @settings(max_examples=100)
     def test_bijection(self, n, seed):
-        assert sorted(permute_indices(n, MasterKey(seed))) == list(range(n))
+        assert sorted(permute_indices(n, MasterKey(seed), n).tolist()) == list(range(n))
 
     def test_matches_stepwise_fisher_yates(self):
         rnd = random.Random(8)
@@ -208,7 +219,7 @@ class TestPermuteIndices:
             for i in range(n - 1, 0, -1):
                 j = rng.next_below(i + 1)
                 out[i], out[j] = out[j], out[i]
-            assert permute_indices(n, key) == out
+            assert permute_indices(n, key, n).tolist() == out
 
     @pytest.mark.parametrize("n", [0, 1, 2, 3, 17, 1000, 100_000])
     def test_prefix_matches_reference_walk(self, n):
@@ -216,11 +227,14 @@ class TestPermuteIndices:
         for _ in range(3 if n == 100_000 else 20):
             key = MasterKey(rnd.getrandbits(64))
             full = reference_permute_indices(n, key)
-            assert permute_indices(n, key) == full
-            # around the walk's block boundary, and one count in between
+            assert permute_indices(n, key, n).tolist() == full
+            # around the walk's block boundary, one count in between, and
+            # counts outside 0..n, which are clamped
             b, mid = _WALK_BLOCK, key.seed % (n + 1)
-            for count in {0, 1, 2, max(n - 1, 0), n, n + 5, b - 1, b, b + 1, mid}:
-                assert permute_indices(n, key, count) == full[:count]
+            for count in {-1, 0, 1, 2, max(n - 1, 0), n, n + 5, b - 1, b, b + 1, mid}:
+                out = permute_indices(n, key, count)
+                assert out.dtype == np.int64
+                assert out.tolist() == full[: max(count, 0)]
 
     @pytest.mark.parametrize(
         "n", [2, 3, _WALK_BLOCK - 1, _WALK_BLOCK, _WALK_BLOCK + 1, 2 * _WALK_BLOCK + 1])
@@ -241,18 +255,20 @@ class TestPermuteIndices:
          "a82200803cf9e608a48dd5bc2ca5b863414dec2b5495515efc27d9272af9d6e0"),
     ])
     def test_golden_million_sample_prefix(self, seed, head, digest):
-        prefix = permute_indices(1_000_000, MasterKey(seed), 4096)
+        prefix = permute_indices(1_000_000, MasterKey(seed), 4096).tolist()
         assert prefix[:16] == head
         assert hashlib.sha256(",".join(map(str, prefix)).encode()).hexdigest() == digest
 
-    @given(st.integers(0, 400), st.integers(0, MASK64), st.integers(0, 410))
+    @given(st.integers(0, 400), st.integers(0, MASK64), st.integers(-5, 410))
     @settings(max_examples=200)
     def test_prefix_property(self, n, seed, count):
         key = MasterKey(seed)
-        assert permute_indices(n, key, count) == reference_permute_indices(n, key)[:count]
+        out = permute_indices(n, key, count)
+        assert out.tolist() == reference_permute_indices(n, key)[: max(count, 0)]
 
     def test_same_key_same_permutation(self):
-        assert permute_indices(1000, MasterKey(5)) == permute_indices(1000, MasterKey(5))
+        a, b = (permute_indices(1000, MasterKey(5), 1000) for _ in range(2))
+        assert (a == b).all()
 
     def test_distinct_keys_disagree_widely(self):
         rnd = random.Random(9)
@@ -260,9 +276,9 @@ class TestPermuteIndices:
             a_key, b_key = rnd.getrandbits(64), rnd.getrandbits(64)
             if a_key == b_key:
                 continue
-            a = permute_indices(1024, MasterKey(a_key))
-            b = permute_indices(1024, MasterKey(b_key))
-            assert sum(x != y for x, y in zip(a, b)) >= 1000
+            a = permute_indices(1024, MasterKey(a_key), 1024)
+            b = permute_indices(1024, MasterKey(b_key), 1024)
+            assert (a != b).sum() >= 1000
 
 
 class TestXorKeystream:

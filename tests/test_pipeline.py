@@ -286,7 +286,7 @@ class TestEmbedCost:
         # Each batch is a run of consecutive walk positions in which every
         # carrier's optimum is within the threshold, so the GA never gets a
         # carrier at or past one it cannot place.
-        walk_pos = {i: p for p, i in enumerate(permute_indices(n, master))}
+        walk_pos = {i: p for p, i in enumerate(permute_indices(n, master, n).tolist())}
         seed_of = {derive_seed(master, "ga", i): i for i in range(n)}
         for samples, pats, seeds in batches:
             positions = [walk_pos[seed_of[int(s)]] for s in seeds]
@@ -303,7 +303,7 @@ class TestWalkCost:
         requests = []
         real = pipeline.permute_indices
 
-        def recording(n, key, count=None):
+        def recording(n, key, count):
             requests.append(count)
             return real(n, key, count)
 

@@ -18,7 +18,9 @@ of 1 to 4 KiB. Each draws its bytes from a run of 2, 16, 64 or 256
 consecutive values, which starts above 0 in about half of the shorter runs,
 and takes the default or a drawn `--pop`, `--genes` (above the message's
 distinct count) and `--max-gens`. Two more cases fail before the GA runs: an
-empty message, and a `--genes` below the message's distinct count.
+empty message, and a `--genes` below the message's distinct count. Last, it
+compares `oracle-check` stdout, stderr and exit code on 8 drawn seeds, half
+at each bit depth, each with a `--samples` of 0, 1, 30 or 100.
 
 Prints the count of each outcome and the first mismatching case, and exits 1
 on any mismatch (2 when the comparison cannot run). It needs the repository's git history, so it is a tool, not
@@ -47,6 +49,7 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parents[1]
 THRESHOLDS = [math.inf, 0, 1, 2, 3, 5, 17, 300]
 KEYGEN_CASES = 40
+ORACLE_CASES = 8
 
 
 # --- cases ---------------------------------------------------------------------
@@ -124,6 +127,11 @@ def keygen_cases(rnd: random.Random, count: int) -> list[dict]:
     return cases + [case(0, 16, None), case(64, 16, -rnd.randint(1, 8))]
 
 
+def oracle_cases(rnd: random.Random, count: int) -> list[dict]:
+    return [{"seed": hex(rnd.getrandbits(64)), "bit_depth": (8, 16)[i % 2],
+             "samples": rnd.choice([0, 1, 30, 100])} for i in range(count)]
+
+
 # --- worker: runs the cases against one source tree ------------------------------
 
 
@@ -195,6 +203,15 @@ def run_keygen_case(case: dict, main, np, scratch: Path) -> dict:
             argv += [flag, str(value)]
     if case["emit_master_key"]:
         argv.append("--emit-master-key")
+    return _run_cli(main, argv)
+
+
+def run_oracle_case(case: dict, main) -> dict:
+    return _run_cli(main, ["oracle-check", "--seed", case["seed"], "--bit-depth",
+                           str(case["bit_depth"]), "--samples", str(case["samples"])])
+
+
+def _run_cli(main, argv: list[str]) -> dict:
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = main(argv)
@@ -215,6 +232,7 @@ def worker(src: str, cases_path: str, out_path: str) -> None:
         results = {
             "embed": [run_embed_case(c, g, np) for c in cases["embed"]],
             "keygen": [run_keygen_case(c, main, np, Path(scratch)) for c in cases["keygen"]],
+            "oracle": [run_oracle_case(c, main) for c in cases["oracle"]],
         }
     Path(out_path).write_text(json.dumps(results))
 
@@ -260,7 +278,8 @@ def main(argv: list[str] | None = None) -> int:
         print(f"error: {exc.stderr.decode().strip()}", file=sys.stderr)
         return 2
     rnd = random.Random(args.seed)
-    cases = {"embed": embed_cases(rnd, args.cases), "keygen": keygen_cases(rnd, KEYGEN_CASES)}
+    cases = {"embed": embed_cases(rnd, args.cases), "keygen": keygen_cases(rnd, KEYGEN_CASES),
+             "oracle": oracle_cases(rnd, ORACLE_CASES)}
     start = time.perf_counter()
     with tempfile.TemporaryDirectory() as tmp:
         tmp = Path(tmp)
@@ -292,7 +311,7 @@ def main(argv: list[str] | None = None) -> int:
     print(f"differential: working tree against {commit}, seed {args.seed}, "
           f"{time.perf_counter() - start:.0f} s")
     mismatches = []
-    for kind in ("embed", "keygen"):
+    for kind in ("embed", "keygen", "oracle"):
         outcomes = Counter()
         for i, (old, new) in enumerate(zip(rev_out[kind], new_out[kind])):
             outcomes[new["outcome"]] += 1

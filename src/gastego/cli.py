@@ -13,7 +13,6 @@ import argparse
 import dataclasses
 import json
 import math
-import secrets
 import sys
 from itertools import combinations, product
 
@@ -124,6 +123,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def _parse_seed(args) -> MasterKey:
     if getattr(args, "random_seed", False):
+        import secrets  # imported here, since only --random-seed needs it
         return MasterKey(secrets.randbits(64))
     return MasterKey(int(args.seed, 0))
 

@@ -128,34 +128,33 @@ def permute_indices(n: int, key: MasterKey, count: int) -> np.ndarray:
     with position next_below(i+1), the stream seeded from
     derive_seed(key, "permute", 0). Only the requested prefix is resolved,
     which changes no output: no step after step p touches position p, and
-    what the steps before the prefix leave in it follows from the draws
-    alone. Cost is O(n) vectorized plus O(count) Python.
+    what it holds follows from the draws alone. Cost is O(n) vectorized.
     """
     size = max(0, min(count, n))
     draw, nxt = _walk_draws(n, key)
-    # state of positions 0..size-1 after steps n-1 .. size: position p holds
-    # pre(i) for the smallest step i >= size that drew p, else p itself
-    hits = np.flatnonzero(draw[size:] < size) + size
-    last = np.full(size, n, dtype=draw.dtype)
-    np.minimum.at(last, draw[hits], hits)
-    moved = np.flatnonzero(last < n)
-    # pre(i), the value at position i just before step i, is where the chain
-    # i, nxt[i], nxt[nxt[i]], ... ends: each link is the step that last wrote i
-    ends = last[moved]
-    active = np.arange(len(ends))
+    # entry i is what position draw[i] held just before step i: pre(s) for the
+    # next step s > i that drew it, else draw[i]. Group the steps that drew a
+    # prefix position by position, in step order: an LSD radix sort on 16-bit
+    # digits, since numpy's stable sort of uint16 keys is a radix sort
+    steps = np.flatnonzero(draw < size)
+    for shift in range(0, max(size - 1, 0).bit_length(), 16):
+        steps = steps[np.argsort((draw[steps] >> shift).astype(np.uint16), kind="stable")]
+    drawn = draw[steps]
+    succ = np.full(len(steps), n, dtype=np.int64)
+    same = drawn[1:] == drawn[:-1]
+    succ[:-1][same] = steps[1:][same]
+    prefix = steps < size
+    ends = np.empty(size, dtype=np.int64)
+    ends[steps[prefix]] = succ[prefix]
+    # pre(s), the value at position s just before step s, is where the chain
+    # s, nxt[s], nxt[nxt[s]], ... ends: each link is the step that last wrote s
+    active = np.flatnonzero(ends < n)
     while len(active):
         step = nxt[ends[active]]
         going = step < n
         active = active[going]
         ends[active] = step[going]
-    out = np.arange(size, dtype=draw.dtype)
-    out[moved] = ends
-    out = out.tolist()
-    js = draw[:size].tolist()
-    for i in range(size - 1, 0, -1):
-        j = js[i]
-        out[i], out[j] = out[j], out[i]
-    return np.array(out, dtype=np.int64)
+    return np.where(ends < n, ends, draw[:size])
 
 
 # steps of the walk whose draws and links are built at a time

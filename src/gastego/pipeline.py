@@ -10,8 +10,8 @@ layout belongs to LayerMask: embed packs the ciphertext's bits into one
 pattern per carrier with LayerMask.pack, and extract reads them back from
 the used samples with LayerMask.unpack. The walk is the full keyed
 Fisher-Yates shuffle of the README; both sides resolve only the prefix they
-read (embed m positions plus one per rejection, extract m + len(skipped)),
-which changes no output byte.
+read (embed m positions plus one per rejection, extract m plus the skips
+inside the buffer), which changes no output byte.
 
 The engine runs over windows of the walk. The first window is the whole
 payload, so an embed without rejections makes one engine call. After a
@@ -259,11 +259,12 @@ def extract(stego: AudioBuffer, key: StegoKey) -> bytes:
     # the skips that name a sample of the buffer, found on Python ints: an
     # index past it names none and need not fit an int64
     inside = bisect.bisect_left(key.skipped_indices, n)
-    skipped = np.asarray(key.skipped_indices[:inside], dtype=np.int64)
-    # at most len(skipped) of the first m + len(skipped) walk positions are
-    # skipped, so that prefix holds every sample the payload used
-    perm = permute_indices(n, key.config.key, m + len(skipped))
-    used = perm[~np.isin(perm, skipped)][:m]
+    skip = np.zeros(n, dtype=bool)
+    skip[np.asarray(key.skipped_indices[:inside], dtype=np.int64)] = True
+    # at most `inside` of the first m + inside walk positions are skipped, so
+    # that prefix holds every sample the payload used
+    perm = permute_indices(n, key.config.key, m + inside)
+    used = perm[~skip[perm]][:m]
     if len(used) < m:
         raise KeyMismatch(
             f"key declares {key.payload_len_bytes} payload bytes but the "

@@ -228,10 +228,12 @@ class TestPermuteIndices:
             key = MasterKey(rnd.getrandbits(64))
             full = reference_permute_indices(n, key)
             assert permute_indices(n, key, n).tolist() == full
-            # around the walk's block boundary, one count in between, and
-            # counts outside 0..n, which are clamped
+            # around the walk's block boundary, one count in between, counts
+            # outside 0..n, which are clamped, and both sides of 2**16, where
+            # the prefix's radix sort takes a second 16-bit digit
             b, mid = _WALK_BLOCK, key.seed % (n + 1)
-            for count in {-1, 0, 1, 2, max(n - 1, 0), n, n + 5, b - 1, b, b + 1, mid}:
+            for count in {-1, 0, 1, 2, max(n - 1, 0), n, n + 5, b - 1, b, b + 1, mid,
+                          2**16 - 1, 2**16, 2**16 + 1}:
                 out = permute_indices(n, key, count)
                 assert out.dtype == np.int64
                 assert out.tolist() == full[: max(count, 0)]

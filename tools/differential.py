@@ -20,7 +20,11 @@ and takes the default or a drawn `--pop`, `--genes` (above the message's
 distinct count) and `--max-gens`. Two more cases fail before the GA runs: an
 empty message, and a `--genes` below the message's distinct count. Last, it
 compares `oracle-check` stdout, stderr and exit code on 8 drawn seeds, half
-at each bit depth, each with a `--samples` of 0, 1, 30 or 100.
+at each bit depth, each with a `--samples` of 0, 1, 30 or 100. Then it
+compares a digest of `permute_indices(n, key, count)` for 6 walks of 65,537
+to 1,000,000 samples, each at counts 2**16 - 1, 2**16, 2**16 + 1, one count
+up to n and n itself, so the prefix spans both 16-bit digits of its sort;
+these are drawn after all other cases, which keep their draws.
 
 Prints the count of each outcome and the first mismatching case, and exits 1
 on any mismatch (2 when the comparison cannot run). It needs the repository's git history, so it is a tool, not
@@ -50,6 +54,7 @@ ROOT = Path(__file__).resolve().parents[1]
 THRESHOLDS = [math.inf, 0, 1, 2, 3, 5, 17, 300]
 KEYGEN_CASES = 40
 ORACLE_CASES = 8
+WALK_CASES = 6
 
 
 # --- cases ---------------------------------------------------------------------
@@ -132,6 +137,15 @@ def oracle_cases(rnd: random.Random, count: int) -> list[dict]:
              "samples": rnd.choice([0, 1, 30, 100])} for i in range(count)]
 
 
+def walk_cases(rnd: random.Random, count: int) -> list[dict]:
+    cases = []
+    for _ in range(count):
+        n = rnd.randint(2**16 + 1, 1_000_000)
+        cases.append({"samples": n, "key": rnd.getrandbits(64),
+                      "counts": [2**16 - 1, 2**16, 2**16 + 1, rnd.randint(0, n), n]})
+    return cases
+
+
 # --- worker: runs the cases against one source tree ------------------------------
 
 
@@ -211,6 +225,13 @@ def run_oracle_case(case: dict, main) -> dict:
                            str(case["bit_depth"]), "--samples", str(case["samples"])])
 
 
+def run_walk_case(case: dict, g) -> dict:
+    key = g.MasterKey(case["key"])
+    return {"outcome": "ok", "digests": [
+        _digest(g.keystream.permute_indices(case["samples"], key, c).astype("<i8").tobytes())
+        for c in case["counts"]]}
+
+
 def _run_cli(main, argv: list[str]) -> dict:
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
@@ -233,6 +254,7 @@ def worker(src: str, cases_path: str, out_path: str) -> None:
             "embed": [run_embed_case(c, g, np) for c in cases["embed"]],
             "keygen": [run_keygen_case(c, main, np, Path(scratch)) for c in cases["keygen"]],
             "oracle": [run_oracle_case(c, main) for c in cases["oracle"]],
+            "walk": [run_walk_case(c, g) for c in cases["walk"]],
         }
     Path(out_path).write_text(json.dumps(results))
 
@@ -279,7 +301,7 @@ def main(argv: list[str] | None = None) -> int:
         return 2
     rnd = random.Random(args.seed)
     cases = {"embed": embed_cases(rnd, args.cases), "keygen": keygen_cases(rnd, KEYGEN_CASES),
-             "oracle": oracle_cases(rnd, ORACLE_CASES)}
+             "oracle": oracle_cases(rnd, ORACLE_CASES), "walk": walk_cases(rnd, WALK_CASES)}
     start = time.perf_counter()
     with tempfile.TemporaryDirectory() as tmp:
         tmp = Path(tmp)
@@ -311,7 +333,7 @@ def main(argv: list[str] | None = None) -> int:
     print(f"differential: working tree against {commit}, seed {args.seed}, "
           f"{time.perf_counter() - start:.0f} s")
     mismatches = []
-    for kind in ("embed", "keygen", "oracle"):
+    for kind in ("embed", "keygen", "oracle", "walk"):
         outcomes = Counter()
         for i, (old, new) in enumerate(zip(rev_out[kind], new_out[kind])):
             outcomes[new["outcome"]] += 1

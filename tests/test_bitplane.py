@@ -60,7 +60,7 @@ def plain(samples, mask, pattern_bits):
     config = pipeline.EmbedConfig(mask=mask, key=MasterKey(0), mode="plain")
     samples = np.asarray(samples, dtype=np.int64)
     pats = np.asarray(pattern_bits, dtype=np.int64)
-    return pipeline._engine(config, samples, np.arange(len(samples)), pats).tolist()
+    return pipeline._closed_form(config, samples, pats).tolist()
 
 
 def random_case(rnd, bit_depth, max_k=3):

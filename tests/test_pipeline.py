@@ -40,6 +40,62 @@ def random_cover(rnd, n, bit_depth=16, channels=1, rate=44100):
     return AudioBuffer([rnd.randint(lo, hi) for _ in range(n)], bit_depth, rate, channels)
 
 
+def reference_embed(cover, message, config):
+    """The naive embed: one carrier at a time along the whole walk.
+
+    Each walk position gets the next group's carrier from a one-row engine
+    call. A carrier within the threshold is written; otherwise the sample
+    is skipped and the same bits retry at the next position. Returns the
+    stego sample values, the sorted skipped indices, the max deviation and
+    the number of carriers rejected although their closed-form optimum was
+    within the threshold (GA-caused rejections). Raises like embed.
+    """
+    mask, bd = config.mask, cover.bit_depth
+    ciphertext = xor_keystream(bytes(message), config.key)
+    bits = np.unpackbits(np.frombuffer(ciphertext, dtype=np.uint8))
+    rows = np.pad(bits, (0, -len(bits) % mask.k)).reshape(-1, mask.k)
+    samples = cover.samples.tolist()
+    n, m = len(samples), len(rows)
+    if m > n:
+        raise InsufficientCapacity(f"{m} groups, {n} samples")
+
+    def value(raw):
+        return raw - (1 << 16) if bd == 16 and raw >= 1 << 15 else raw
+
+    stego = list(samples)
+    skipped, max_dev, ga_caused, g = [], 0, 0, 0
+    for idx in permute_indices(n, config.key, n).tolist():
+        if g == m:
+            break
+        raw = samples[idx] & ((1 << bd) - 1)
+        pattern = int(mask.pack(rows[g]))
+        one_raw, one_pattern = np.array([raw]), np.array([pattern])
+        optimum = int(adjust_nearest_packed(one_raw, mask, one_pattern)[0])
+        if config.mode == "plain":
+            carrier = (raw & ~mask.bits) | pattern
+        elif config.mode == "nearest":
+            carrier = optimum
+        else:
+            seed = np.array([derive_seed(config.key, "ga", idx)], dtype=np.uint64)
+            carrier = int(ga_adjust.run_ga_batch(
+                one_raw, one_pattern, mask, config.ga_params, seed
+            )[0])
+        dev = abs(value(carrier) - samples[idx])
+        if dev > config.threshold:
+            skipped.append(idx)
+            ga_caused += abs(value(optimum) - samples[idx]) <= config.threshold
+            continue
+        stego[idx] = value(carrier)
+        max_dev = max(max_dev, dev)
+        g += 1
+    if g < m:
+        raise CapacityExhaustedBySkips(
+            f"placed {g} of {m} groups before running out of samples "
+            f"({len(skipped)} rejections)"
+        )
+    return stego, tuple(sorted(skipped)), max_dev, ga_caused
+
+
 class TestCapacityBits:
     def test_examples(self):
         buf = AudioBuffer([0] * 1000, 8, 8000, 1)
@@ -291,6 +347,26 @@ class TestEmbedCost:
     """Engine rows of a threshold embed grow with the payload plus the
     rejections, never with their product."""
 
+    @staticmethod
+    def record_ga(monkeypatch):
+        """Every run_ga_batch call's rows, and the calls that computed an
+        optimum inside ga_adjust (none should: embed hands it in)."""
+        batches, inner = [], []
+        real = pipeline.run_ga_batch
+
+        def recording(samples, pattern_bits, mask, params, seeds, optimum):
+            batches.append((samples.copy(), pattern_bits.copy(), seeds.copy(),
+                            optimum.copy()))
+            return real(samples, pattern_bits, mask, params, seeds, optimum)
+
+        def computing(*args):
+            inner.append(args)
+            return adjust_nearest_packed(*args)
+
+        monkeypatch.setattr(pipeline, "run_ga_batch", recording)
+        monkeypatch.setattr(ga_adjust, "adjust_nearest_packed", computing)
+        return batches, inner
+
     @pytest.mark.parametrize("seed", [1, 2, 3])
     def test_ga_rows_bounded_and_none_past_a_hopeless_carrier(self, seed, monkeypatch):
         rnd = random.Random(seed)
@@ -300,14 +376,7 @@ class TestEmbedCost:
         mask = LayerMask((4,), 8)
         master = MasterKey(rnd.getrandbits(64))
         threshold = 3
-        batches = []
-        real = pipeline.run_ga_batch
-
-        def counting(samples, pattern_bits, mask, params, seeds, optimum):
-            batches.append((samples.copy(), pattern_bits.copy(), seeds.copy()))
-            return real(samples, pattern_bits, mask, params, seeds, optimum)
-
-        monkeypatch.setattr(pipeline, "run_ga_batch", counting)
+        batches, inner = self.record_ga(monkeypatch)
         stego, key, report = embed(
             cover, msg,
             EmbedConfig(mask=mask, key=master, mode="ga", threshold=threshold),
@@ -315,48 +384,141 @@ class TestEmbedCost:
         assert extract(stego, key) == msg
         groups, rejections = report.samples_used, report.samples_skipped
         assert rejections > 0
-        rows = sum(len(samples) for samples, _, _ in batches)
+        rows = sum(len(samples) for samples, *_ in batches)
         assert rows <= 4 * groups + 8 * rejections
+        assert inner == []
+        if seed != 2:  # seed 2's GA misses the threshold on two carriers
+            assert len(batches) == 1
 
-        # Each batch is a run of consecutive walk positions in which every
-        # carrier's optimum is within the threshold, so the GA never gets a
-        # carrier at or past one it cannot place.
-        walk_pos = {i: p for p, i in enumerate(permute_indices(n, master, n).tolist())}
+        # A batch holds carriers in walk order whose optimum, handed in, is
+        # within the threshold, so the GA never gets a carrier its optimum
+        # cannot place. Up to its first carrier the GA misses the threshold
+        # on (after which its placements are void), every position it passes
+        # over is a rejection.
+        walk = permute_indices(n, master, n)
+        walk_pos = {i: p for p, i in enumerate(walk.tolist())}
         seed_of = {derive_seed(master, "ga", i): i for i in range(n)}
-        for samples, pats, seeds in batches:
-            positions = [walk_pos[seed_of[int(s)]] for s in seeds]
-            assert positions == list(range(positions[0], positions[0] + len(seeds)))
-            best = adjust_nearest_packed(samples, mask, pats)
-            assert np.abs(best - samples).max() <= threshold  # 8-bit: raw is value
+        skipped = set(key.skipped_indices)
+        for samples, pats, seeds, optimum in batches:
+            idxs = [seed_of[int(s)] for s in seeds]
+            positions = [walk_pos[i] for i in idxs]
+            assert all(a < b for a, b in zip(positions, positions[1:]))
+            assert np.array_equal(optimum, adjust_nearest_packed(samples, mask, pats))
+            assert np.abs(optimum - samples).max() <= threshold  # 8-bit: raw is value
+            missed = [p for p, i in zip(positions, idxs) if i in skipped]
+            stop = missed[0] if missed else positions[-1]
+            passed = set(range(positions[0], stop)) - set(positions)
+            assert {int(walk[p]) for p in passed} <= skipped
+
+    def test_ga_rows_bounded_when_the_ga_rejects_often(self, monkeypatch):
+        # one generation leaves many carriers short of their optimum, so the
+        # GA itself rejects often, and each rejection shrinks the next batch
+        rnd = random.Random(7)
+        cover = random_cover(rnd, 20_000)
+        config = EmbedConfig(
+            mask=LayerMask((1, 2), 16), key=MasterKey(3), mode="ga", threshold=1,
+            ga_params=GaParams(generations=1),
+        )
+        batches, inner = self.record_ga(monkeypatch)
+        _, _, report = embed(cover, rnd.randbytes(64), config)
+        assert len(batches) > 20 and inner == []
+        rows = sum(len(samples) for samples, *_ in batches)
+        assert rows <= 4 * report.samples_used + 8 * report.samples_skipped
 
     def test_ga_optimum_computed_once_per_window(self, monkeypatch):
-        # _engine's threshold cut computes each window's closed-form optimum
-        # and hands it to run_ga_batch, which does not compute it again
+        # Stage 1 of a ga embed is the nearest embed's window loop. When the
+        # GA misses the threshold on no carrier, ga computes the same optima
+        # in the same windows, one call each, skips the same samples and runs
+        # one GA batch over nearest's carriers, handed their optima.
         rnd = random.Random(4)
         cover = random_cover(rnd, 20_000, bit_depth=8)
         msg = bytes(rnd.randrange(256) for _ in range(32))
         config = EmbedConfig(
-            mask=LayerMask((4,), 8), key=MasterKey(5), mode="ga", threshold=3
+            mask=LayerMask((4,), 8), key=MasterKey(5), mode="nearest", threshold=3
         )
-        calls = {"engine": 0, "optimum": 0}
-        real_engine, real_optimum = pipeline._engine, adjust_nearest_packed
+        windows = []
 
-        def engine(*args):
-            calls["engine"] += 1
-            return real_engine(*args)
+        def optimum(raw, mask, pats):
+            windows.append(len(raw))
+            return adjust_nearest_packed(raw, mask, pats)
 
-        def optimum(*args):
-            calls["optimum"] += 1
-            return real_optimum(*args)
-
-        monkeypatch.setattr(pipeline, "_engine", engine)
+        batches, inner = self.record_ga(monkeypatch)
         monkeypatch.setattr(pipeline.bitplane, "adjust_nearest_packed", optimum)
-        monkeypatch.setattr(ga_adjust, "adjust_nearest_packed", optimum)
-        stego, key, report = embed(cover, msg, config)
+        near, near_key, _ = embed(cover, msg, config)
+        near_windows = windows[:]
+        windows.clear()
+        stego, key, report = embed(cover, msg, dataclasses.replace(config, mode="ga"))
         assert report.samples_skipped > 0
-        assert calls["engine"] > 1
-        assert calls["optimum"] == calls["engine"]
+        assert windows == near_windows and len(windows) > 1
+        assert key.skipped_indices == near_key.skipped_indices
+        assert len(batches) == 1 and inner == []
+        walk = permute_indices(len(cover.samples), config.key, 2_000)
+        used = [i for i in walk.tolist() if i not in key.skipped_indices][:256]
+        assert np.array_equal(batches[0][3], near.samples[used])  # 8-bit: raw is value
         assert extract(stego, key) == msg
+
+
+class TestReferenceEmbed:
+    """embed places, skips and scores every carrier like reference_embed."""
+
+    CASES = [
+        # bit depth, layers, threshold
+        (8, (4,), 3), (8, (1, 2), 1),
+        (16, (4,), 3), (16, (1, 2), 1), (16, (2, 9), 100),
+    ]
+
+    @staticmethod
+    def check(cover, message, config):
+        stego, key, report = embed(cover, message, config)
+        ref_stego, ref_skipped, ref_max_dev, ga_caused = reference_embed(
+            cover, message, config
+        )
+        assert stego.samples.tolist() == ref_stego
+        assert key.skipped_indices == ref_skipped
+        assert report.max_deviation == ref_max_dev
+        ref = AudioBuffer(ref_stego, cover.bit_depth, cover.sample_rate, cover.channels)
+        assert report.snr_db == snr_db(cover, ref)
+        assert extract(stego, key) == message
+        return key, ga_caused
+
+    @pytest.mark.parametrize("bit_depth,layers,threshold", CASES)
+    @pytest.mark.parametrize("mode", ["plain", "nearest", "ga"])
+    def test_modes_masks_and_depths(self, mode, bit_depth, layers, threshold):
+        rnd = random.Random(f"{mode}{bit_depth}{layers}")
+        cover = random_cover(rnd, 2000, bit_depth=bit_depth)
+        config = EmbedConfig(
+            mask=LayerMask(layers, bit_depth), key=MasterKey(rnd.getrandbits(64)),
+            mode=mode, threshold=threshold,
+        )
+        key, _ = self.check(cover, rnd.randbytes(24), config)
+        assert key.skipped_indices
+
+    def test_ga_caused_rejections(self):
+        # one generation leaves many carriers short of their optimum, so the
+        # GA misses the threshold where the closed form met it
+        rnd = random.Random("ga_caused")
+        cover = random_cover(rnd, 3000)
+        config = EmbedConfig(
+            mask=LayerMask((1, 2), 16), key=MasterKey(rnd.getrandbits(64)),
+            mode="ga", threshold=1, ga_params=GaParams(generations=1),
+        )
+        key, ga_caused = self.check(cover, rnd.randbytes(48), config)
+        assert ga_caused > 0
+
+    @pytest.mark.parametrize("mode", ["plain", "nearest", "ga"])
+    def test_capacity_exhausted(self, mode):
+        rnd = random.Random("exhausted")
+        cover = random_cover(rnd, 160, bit_depth=8)
+        message = bytes(rnd.randrange(256) for _ in range(16))
+        config = EmbedConfig(
+            mask=LayerMask((4,), 8), key=MasterKey(rnd.getrandbits(64)),
+            mode=mode, threshold=1, ga_params=GaParams(generations=2),
+        )
+        with pytest.raises(CapacityExhaustedBySkips) as info:
+            embed(cover, message, config)
+        with pytest.raises(CapacityExhaustedBySkips) as ref_info:
+            reference_embed(cover, message, config)
+        assert str(info.value) == str(ref_info.value)
 
 
 class TestWalkCost:

@@ -261,12 +261,15 @@ def cmd_oracle_check(args) -> int:
         for mask, rows in cases.items():
             samples, patterns = np.array([row[:2] for row in rows], dtype=np.int64).T
             seeds = np.array([row[2] for row in rows], dtype=np.uint64)
+            optimum = bitplane.oracle_nearest(samples, mask, patterns)
             s_vals = bitplane.values_of(samples, bd)
             d_got, d_opt, d_plain = (
                 np.abs(bitplane.values_of(raw, bd) - s_vals)
                 for raw in (
-                    ga_adjust.run_ga_batch(samples, patterns, mask, GaParams(), seeds),
-                    bitplane.oracle_nearest(samples, mask, patterns),
+                    ga_adjust.run_ga_batch(
+                        samples, patterns, mask, GaParams(), seeds, optimum
+                    ),
+                    optimum,
                     (samples & ~mask.bits) | patterns,
                 )
             )

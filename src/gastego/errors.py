@@ -45,10 +45,6 @@ class KeyMismatch(StegoError):
     """The stego buffer cannot hold the payload the key declares."""
 
 
-class LengthMismatch(StegoError):
-    """Two buffers that must agree in shape do not."""
-
-
 class SnrNotDefined(StegoError):
     """SNR is undefined: the reference signal has zero energy but noise is present."""
 

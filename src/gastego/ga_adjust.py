@@ -24,9 +24,10 @@ is SplitMix64(seed). Draws are consumed in this order:
   one draw per locus (1..bit_depth) for each of the two offspring.
 
 Early exit: a row stops drawing once its best equals the closed-form
-optimum (`bitplane.adjust_nearest_packed`). That value is the unique minimum
-of the (distance, value) sort key and elitism keeps it, so the row's result
-is unchanged; nothing downstream depends on the unread portion of the stream.
+optimum, which the caller passes in (`bitplane.adjust_nearest_packed` or
+`bitplane.oracle_nearest` of the row). That value is the unique minimum of
+the (distance, value) sort key and elitism keeps it, so the row's result is
+that optimum; nothing downstream depends on the unread portion of the stream.
 Every live row reads its own stream at the same offset, so retiring one row
 leaves the draws of the others unchanged.
 
@@ -46,7 +47,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bitplane import LayerMask, adjust_nearest_packed, bias_bit
+from .bitplane import LayerMask, bias_bit
 from .keystream import MASK64, _mulhi_small, stream_outputs
 
 
@@ -74,7 +75,7 @@ def run_ga_batch(
     mask: LayerMask,
     params: GaParams,
     seeds: np.ndarray,
-    optimum: np.ndarray | None = None,
+    optimum: np.ndarray,
 ) -> np.ndarray:
     """Run many independent GAs in lockstep; returns each row's fittest value.
 
@@ -83,10 +84,9 @@ def run_ga_batch(
     the embedding pipeline's situation. Each row consumes its own stream in
     the normative draw order of the module docstring, so a row's result does
     not depend on the other rows in the batch. Rows retire as soon as their
-    best equals the closed-form optimum, and the live rows are compacted.
-    `optimum` is that closed-form optimum per row
-    (`adjust_nearest_packed(samples, mask, pattern_bits)`), for a caller that
-    has computed it already; it is computed here when omitted.
+    best equals `optimum`, each row's closed-form optimum
+    (`adjust_nearest_packed(samples, mask, pattern_bits)`), and the live rows
+    are compacted.
     """
     S = len(samples)
     if S == 0:
@@ -108,8 +108,9 @@ def run_ga_batch(
     samples = np.asarray(samples, dtype=np.int64)
     pattern_bits = np.asarray(pattern_bits, dtype=np.int64)
     seeds = np.asarray(seeds, dtype=np.uint64)
-    if optimum is None:
-        optimum = adjust_nearest_packed(samples, mask, pattern_bits)
+    # a row that retires keeps its optimum, so only the rows still live at
+    # the end are written
+    best = np.array(optimum, dtype=np.int64)
 
     # members in biased form (module docstring): repair is
     # (b & ~mask_bits) | pattern_b
@@ -127,11 +128,9 @@ def run_ga_batch(
         init = stream_outputs(seeds, 1, P - 2)
         randoms = (init >> np.uint64(64 - bd)).astype(np.int64) ^ bias
         key[:, 2:] = sort_key((randoms & ~mask_bits) | pattern_b, orig_b)
-    optimum_b = np.asarray(optimum, dtype=np.int64)[:, None] ^ bias
-    opt_key = sort_key(optimum_b, orig_b)[:, 0]
+    opt_key = sort_key((best ^ bias)[:, None], orig_b)[:, 0]
 
     offset = P - 2  # draws consumed so far, per stream
-    best = np.empty(S, dtype=np.int64)
     live = np.arange(S)  # batch row of each live row
 
     def breed(key: np.ndarray, seeds: np.ndarray, pattern_b: np.ndarray,
@@ -182,10 +181,8 @@ def run_ga_batch(
         key.sort(axis=1)
         # A row whose best is its optimum keeps it to the end (elitism), so
         # it retires now and the live rows close up.
-        done = key[:, 0] == opt_key
-        if done.any():
-            best[live[done]] = (key[done, 0] & low_bits) ^ bias
-            keep = ~done
+        keep = key[:, 0] != opt_key
+        if not keep.all():
             if not keep.any():
                 return best
             live, key, seeds, pattern_b, orig_b, opt_key = (

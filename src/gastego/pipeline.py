@@ -71,7 +71,6 @@ from .errors import (
     InsufficientCapacity,
     KeyMismatch,
     KeyParseError,
-    LengthMismatch,
     SnrNotDefined,
 )
 from .ga_adjust import GaParams, run_ga_batch
@@ -143,30 +142,18 @@ def capacity_bits(buffer: AudioBuffer, mask: LayerMask) -> int:
     return len(buffer.samples) * mask.k
 
 
-def snr_db(
-    original: AudioBuffer, stego: AudioBuffer, *, noise: int | None = None
-) -> float:
-    """Signal-to-noise ratio of the embedding, in dB, on sample values.
+def snr_db(original: AudioBuffer, noise: int) -> float:
+    """Signal-to-noise ratio of an embedding into `original`, in dB.
 
-    Identical buffers give math.inf. A silent original with nonzero noise has
-    no meaningful ratio and raises SnrNotDefined. `noise`, the sum of the
-    squared sample differences, may be passed by a caller that has it exactly
-    (embed sums it over its carriers); otherwise it is computed from the
-    buffers.
+    `noise` is the sum of the squared sample-value differences between the
+    original and the stego buffer (embed sums it over its carriers). No noise
+    gives math.inf; a silent original with nonzero noise has no meaningful
+    ratio and raises SnrNotDefined.
     """
-    if (
-        len(original.samples) != len(stego.samples)
-        or original.bit_depth != stego.bit_depth
-        or original.channels != stego.channels
-    ):
-        raise LengthMismatch("buffers differ in length, bit depth, or channels")
-    a = original.samples
-    if noise is None:
-        d = a - stego.samples
-        noise = int(d @ d)  # integer dot products: the sums are exact
     if noise == 0:
         return math.inf
-    signal = int(a @ a)
+    a = original.samples
+    signal = int(a @ a)  # an integer dot product: the sum is exact
     if signal == 0:
         raise SnrNotDefined("original signal has zero energy but noise is present")
     return 10.0 * math.log10(signal / noise)
@@ -289,7 +276,7 @@ def embed(
         samples_used=m,
         samples_skipped=len(skipped),
         max_deviation=max_dev,
-        snr_db=snr_db(cover, stego, noise=noise),
+        snr_db=snr_db(cover, noise),
         capacity_bits=capacity_bits(cover, mask),
     )
     return stego, key, report

@@ -121,10 +121,10 @@ def test_criterion_4_ga_optimality_and_never_worse():
         pattern = tuple(rnd.randint(0, 1) for _ in range(mask.k))
         bits = mask.pack(pattern)
         seed = rnd.getrandbits(64)
-        [got] = run_ga_batch([s], [bits], mask, GaParams(), [seed]).tolist()
+        [best] = oracle_nearest([s], mask, [bits]).tolist()
+        [got] = run_ga_batch([s], [bits], mask, GaParams(), [seed], [best]).tolist()
         assert tuple(mask.unpack(got)) == pattern
         d = distance(got, s, 8)
-        [best] = oracle_nearest([s], mask, [bits]).tolist()
         optimal += d == distance(best, s, 8)
         worse += d > distance(substitute(s, mask, pattern), s, 8)
     assert worse == 0

@@ -257,6 +257,16 @@ class TestInspect:
         assert "capacity_bits: 40000" in out
         assert "capacity_bytes: 5000" in out
 
+    def test_zero_channel_wav_is_1(self, tmp_path, capsys):
+        wav = bytearray(write_wav(AudioBuffer([1, 2], 16, 8000, 1)))
+        wav[22:24] = bytes(2)  # the fmt chunk's channel count
+        path = tmp_path / "zero.wav"
+        path.write_bytes(wav)
+        assert main(["inspect", "--wav", str(path)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: channel count 0\n"
+
 
 class TestKeygenGa:
     def test_uniform_message(self, tmp_path, capsys):
@@ -284,6 +294,19 @@ class TestKeygenGa:
         assert capsys.readouterr().err == (
             "error: 1 genes per individual cannot cover 2 distinct values\n"
         )
+
+    @pytest.mark.parametrize("flag, value, message", [
+        ("--pop", "1", "population_size must be >= 2"),
+        ("--genes", "0", "genes_per_individual must be >= 1"),
+        ("--max-gens", "0", "max_generations must be >= 1"),
+    ])
+    def test_bad_ga_params_are_2(self, tmp_path, capsys, flag, value, message):
+        msg = tmp_path / "m.bin"
+        msg.write_bytes(b"AB")
+        assert main(["keygen-ga", "--message", str(msg), flag, value]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {message}\n"
 
     def test_empty_message_is_2(self, tmp_path, capsys):
         msg = tmp_path / "m.bin"
@@ -398,7 +421,7 @@ class TestOracleCheck:
         # the optimum far below the 99% bar
         monkeypatch.setattr(
             ga_adjust, "run_ga_batch",
-            lambda samples, pattern_bits, mask, params, seeds:
+            lambda samples, pattern_bits, mask, params, seeds, optimum:
                 (samples & ~mask.bits) | pattern_bits,
         )
         assert main(["oracle-check", "--samples", "100"]) == 4

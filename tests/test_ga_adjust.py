@@ -2,7 +2,7 @@
 of the production engine with the scalar reference.
 
 run_ga_batch takes lists of rows here as well as arrays; a single case is a
-one-row batch.
+one-row batch, and `ga_batch` hands it each row's closed-form optimum.
 """
 
 import random
@@ -14,6 +14,12 @@ from gastego.bitplane import LayerMask, adjust_nearest_packed, oracle_nearest
 from gastego import ga_adjust
 from gastego.ga_adjust import GaParams, run_ga_batch
 from gastego.keystream import SplitMix64
+
+
+def ga_batch(samples, pattern_bits, mask, params, seeds):
+    """run_ga_batch, handed each row's adjust_nearest_packed optimum."""
+    optimum = adjust_nearest_packed(samples, mask, pattern_bits)
+    return run_ga_batch(samples, pattern_bits, mask, params, seeds, optimum)
 
 
 # --- scalar reference ----------------------------------------------------------
@@ -214,7 +220,7 @@ class TestMutate:
 class TestRunGa:
     def test_pinned_example_finds_unique_optimum(self):
         m = LayerMask((5,), 8)
-        assert run_ga_batch([47], [m.pack((1,))], m, GaParams(), [42]).tolist() == [48]
+        assert ga_batch([47], [m.pack((1,))], m, GaParams(), [42]).tolist() == [48]
 
     def test_identity_when_pattern_matches(self):
         rnd = random.Random(6)
@@ -224,14 +230,14 @@ class TestRunGa:
             m = LayerMask(tuple(rnd.sample(range(1, bd + 1), k)), bd)
             s = rnd.randrange(1 << bd)
             seed = rnd.getrandbits(64)
-            got = run_ga_batch([s], [s & m.bits], m, GaParams(), [seed])
+            got = ga_batch([s], [s & m.bits], m, GaParams(), [seed])
             assert got.tolist() == [s]
 
     def test_deterministic(self):
         m = LayerMask((3, 6), 16)
         bits = m.pack((1, 0))
-        a = run_ga_batch([12345, 12345], [bits, bits], m, GaParams(), [777, 777])
-        b = run_ga_batch([12345], [bits], m, GaParams(), [777])
+        a = ga_batch([12345, 12345], [bits, bits], m, GaParams(), [777, 777])
+        b = ga_batch([12345], [bits], m, GaParams(), [777])
         assert a.tolist() == 2 * b.tolist()
 
     def test_output_validity_never_worse_and_quality(self):
@@ -245,7 +251,7 @@ class TestRunGa:
             pattern = tuple(rnd.randint(0, 1) for _ in range(k))
             bits = m.pack(pattern)
             seed = rnd.getrandbits(64)
-            [got] = run_ga_batch([s], [bits], m, GaParams(), [seed]).tolist()
+            [got] = ga_batch([s], [bits], m, GaParams(), [seed]).tolist()
             assert tuple(m.unpack(got)) == pattern
             d = distance(got, s, 8)
             assert d <= distance(repair(s, m, bits), s, 8)
@@ -266,12 +272,12 @@ class TestRunGa:
             seeds.append(seed)
             bests.append(best)
         bits = [m.pack((1,))] * len(samples)
-        assert run_ga_batch(samples, bits, m, GaParams(), seeds).tolist() == bests
+        assert ga_batch(samples, bits, m, GaParams(), seeds).tolist() == bests
 
     def test_small_population_edge(self):
         # population 2 leaves no room for random members
         m = LayerMask((5,), 8)
-        [got] = run_ga_batch([47], [m.pack((1,))], m, GaParams(population_size=2), [1])
+        [got] = ga_batch([47], [m.pack((1,))], m, GaParams(population_size=2), [1])
         assert m.unpack(int(got)).tolist() == [1]
 
 
@@ -297,7 +303,7 @@ class TestBatchEquivalence:
             pattern = tuple(rnd.randint(0, 1) for _ in range(k))
             seed = rnd.getrandbits(64)
             scalar, _history = reference_run_ga(s, m, pattern, params, seed)
-            batch = run_ga_batch(
+            batch = ga_batch(
                 np.array([s], dtype=np.int64),
                 np.array([m.pack(pattern)], dtype=np.int64),
                 m,
@@ -316,7 +322,7 @@ class TestBatchEquivalence:
             dtype=np.int64,
         )
         seeds = np.array([rnd.getrandbits(64) for _ in range(S)], dtype=np.uint64)
-        batch = run_ga_batch(samples, pats, m, GaParams(), seeds)
+        batch = ga_batch(samples, pats, m, GaParams(), seeds)
         for i in range(S):
             scalar, _history = reference_run_ga(
                 int(samples[i]), m, m.unpack(int(pats[i])), GaParams(), int(seeds[i])
@@ -347,11 +353,7 @@ class TestBatchEquivalence:
         )
         pats[::4] = samples[::4] & m.bits
         seeds = np.array([rnd.getrandbits(64) for _ in range(S)], dtype=np.uint64)
-        batch = run_ga_batch(samples, pats, m, params, seeds)
-        given = run_ga_batch(
-            samples, pats, m, params, seeds, adjust_nearest_packed(samples, m, pats)
-        )
-        assert given.tolist() == batch.tolist()
+        batch = ga_batch(samples, pats, m, params, seeds)
         for i in range(S):
             scalar, _history = reference_run_ga(
                 int(samples[i]), m, m.unpack(int(pats[i])), params, int(seeds[i])
@@ -377,7 +379,7 @@ class TestBatchEquivalence:
             return real(seeds, first, count)
 
         monkeypatch.setattr(ga_adjust, "stream_outputs", counting)
-        batch = run_ga_batch(samples, pats, m, params, seeds)
+        batch = ga_batch(samples, pats, m, params, seeds)
         assert sum(rows_drawn) < S * params.generations // 4
         for i in range(S):
             scalar, _history = reference_run_ga(
@@ -386,7 +388,7 @@ class TestBatchEquivalence:
             assert int(batch[i]) == scalar
 
     def test_empty_batch(self):
-        out = run_ga_batch(
+        out = ga_batch(
             np.empty(0, dtype=np.int64),
             np.empty(0, dtype=np.int64),
             LayerMask((1,), 8),

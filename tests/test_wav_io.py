@@ -51,6 +51,8 @@ class TestAudioBuffer:
             AudioBuffer([], 24, 8000, 1)
         with pytest.raises(ValueError):
             AudioBuffer([], 8, 8000, 0)
+        with pytest.raises(ValueError, match="sample_rate"):
+            AudioBuffer([0], 8, 2**32, 1)
 
     @pytest.mark.parametrize(
         "bit_depth, values, narrow",
@@ -73,6 +75,7 @@ class TestAudioBuffer:
         assert buffers[0] != AudioBuffer(values, bit_depth, 8000, 1)
         assert buffers[0] != AudioBuffer(values, bit_depth, 8001, 2)
         assert buffers[0] != AudioBuffer(values[::-1], bit_depth, 8000, 2)
+        assert (buffers[0] == 5) is False
 
     @pytest.mark.parametrize(
         "samples, bit_depth",
@@ -155,6 +158,12 @@ class TestParse:
             b"XXXX" + bytes(40),
             b"RIFF" + struct.pack("<I", 36) + b"WAVX" + bytes(32),
             b"RIFF" + struct.pack("<I", 4) + b"WAVE",  # no chunks at all
+            (  # a fmt chunk that declares 0 channels
+                b"RIFF" + struct.pack("<I", 36) + b"WAVE"
+                + b"fmt " + struct.pack("<I", 16)
+                + struct.pack("<HHIIHH", 1, 0, 8000, 16000, 2, 16)
+                + b"data" + struct.pack("<I", 0)
+            ),
         ],
     )
     def test_malformed_containers(self, blob):

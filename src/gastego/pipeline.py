@@ -15,20 +15,30 @@ inside the buffer), which changes no output byte.
 
 Embedding runs in two stages. Stage 1 places carriers by their closed form,
 bit substitution in `plain` mode and the nearest value in `nearest` and `ga`,
-and rejects any over the threshold. It runs over windows of the walk: the
-first is the whole payload, so an embed without rejections makes one call;
-after a rejection the next holds max(8, 2 x the run just accepted), doubling
-after each fully accepted window, so the work stays linear in the payload
-plus the rejections. Stage 2 scatters the placed carriers into the stego
-buffer; in `ga` mode it first runs one GA batch over them, handed their
-optima. The GA never beats the optimum, so stage 1's rejections stand, but a
-carrier the GA leaves over the threshold is rejected too: stage 1's work
-past it is void, and stage 1 resumes at the next position for a batch of
-max(8, 2 x the carriers just accepted) groups, doubled after each batch the
-GA fully accepts. GA rows thus also stay linear, and an embed whose GA
+and rejects any over the threshold. Its first window is the whole payload
+along the walk, so an embed without rejections makes one closed-form call.
+From the first rejection on, it places carriers from an accept table: the
+closed-form carrier and accept bit of each walk position under each distinct
+pattern of the groups still to place, built in growing chunks with one call
+each, so a rejection costs a table lookup, not an engine call. Each group
+goes to the first position from the cursor whose accept bit for its pattern
+is set, and every position passed over is a rejection. Above
+TABLE_MAX_PATTERNS distinct patterns the table would cost more rows than
+the calls it saves, and windows go on instead: after a rejection the next
+holds max(8, 2 x the run just accepted), doubling after each fully accepted
+window. Either way the work stays linear in the payload plus the
+rejections. Stage 2 scatters the placed carriers into the stego buffer; in
+`ga` mode it first runs one GA batch over them, handed their optima. The GA
+never beats the optimum, so stage 1's rejections stand, but a carrier the GA
+leaves over the threshold is rejected too: stage 1's work past it is void,
+and stage 1 resumes at the next position for a batch of max(8, 2 x the
+carriers just accepted) groups, doubled after each batch the GA fully
+accepts. It resumes from the same table, whose entries depend only on
+position and pattern. GA rows thus also stay linear, and an embed whose GA
 rejects nothing makes one GA call. A carrier's engine result depends on that
 carrier alone (its raw sample, its pattern and, for the GA, its sample
-index), so windows and batches change the work done, never the output.
+index), so windows, tables and batches change the work done, never the
+output.
 
 The stego key file is the only thing an extractor needs besides the stego
 audio. Its format is fixed: UTF-8 text, one "name = value" per line, the
@@ -79,6 +89,14 @@ from .wav_io import AudioBuffer
 
 MODES = ("plain", "nearest", "ga")
 KEY_FORMAT_VERSION = 1
+# Stage 1 places groups from an accept table only while the groups still to
+# place have at most this many distinct patterns, and in windows above it:
+# the table costs that many closed-form rows per walk position, and with few
+# rejections more rows than the calls it saves (measured, CHANGES.md).
+TABLE_MAX_PATTERNS = 16
+# Cells (patterns x walk positions) of one table chunk at most: each of the
+# closed form's temporaries holds this many int64s.
+TABLE_CHUNK_CELLS = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -192,13 +210,12 @@ def embed(
     values = cover.samples
     raw_bits = (1 << bit_depth) - 1
     stego_values = values.copy()  # accepted carriers are scattered into it
-    perm = np.empty(0, dtype=np.int64)  # the resolved prefix of the walk
+    placer = _Placer(values, groups, config)
     skipped: list[int] = []  # sample indices of the rejected carriers
     max_dev = 0
     noise = 0  # sum of squared deviations; only accepted carriers differ
     pos = 0  # cursor into the permuted walk
     g = 0  # next unplaced payload group
-    window = m  # stage 1's first window is the whole payload
     batch = m  # groups per stage 2 batch; only `ga` can reject in stage 2
     while g < m:
         if pos >= n:
@@ -208,42 +225,13 @@ def embed(
             )
         # Stage 1: place groups g.. at the walk positions from pos where
         # their closed-form value is within the threshold.
-        goal = min(m, g + batch)
-        where = np.empty(goal - g, dtype=np.int64)  # the carriers' positions
-        best = np.empty(goal - g, dtype=np.int64)  # their closed-form raw values
-        skips = []
-        placed = 0
-        while g + placed < goal and pos < n:
-            width = min(window, goal - g - placed, n - pos)
-            if pos + width > len(perm):
-                # the first window, or rejections ran the walk past its
-                # resolved prefix: resolve at least twice as much
-                perm = permute_indices(n, config.key, max(pos + width, 2 * len(perm)))
-            idxs = perm[pos : pos + width]
-            raw = values[idxs] & raw_bits
-            out = _closed_form(config, raw, groups[g + placed : g + placed + width])
-            devs = np.abs(bitplane.values_of(out, bit_depth) - values[idxs])
-            rejected = np.flatnonzero(devs > config.threshold)
-            accepted = int(rejected[0]) if len(rejected) else width
-            where[placed : placed + accepted] = np.arange(pos, pos + accepted)
-            best[placed : placed + accepted] = out[:accepted]
-            placed += accepted
-            if accepted < width:
-                # the sample at the first rejection stays original; its bits
-                # retry at the next position, in a window sized by the run
-                # just accepted
-                skips.append(pos + accepted)
-                pos += accepted + 1
-                window = max(8, 2 * accepted)
-            else:
-                pos += width
-                window = 2 * width
+        where, carriers, skips, pos = placer.place(pos, g, min(m, g + batch))
+        placed = len(where)
 
         # Stage 2: the engine's values for every placed carrier at once.
         # The GA never beats the closed form, so only a carrier whose GA
         # value exceeds the threshold can still be rejected here.
-        where, carriers = where[:placed], best[:placed]
-        idxs = perm[where]
+        idxs = placer.perm[where]
         if config.mode == "ga" and placed:
             seeds = derive_seed(config.key, "ga", idxs)
             carriers = run_ga_batch(
@@ -268,7 +256,7 @@ def embed(
             batch = max(8, 2 * accepted)
         else:
             batch = 2 * batch
-        skipped += perm[skips].tolist()
+        skipped += placer.perm[skips].tolist()
 
     stego = AudioBuffer(stego_values, bit_depth, cover.sample_rate, cover.channels)
     key = StegoKey(config, len(message), tuple(sorted(skipped)))
@@ -325,6 +313,181 @@ def _closed_form(config: EmbedConfig, raw: np.ndarray, pats: np.ndarray) -> np.n
     if config.mode == "plain":
         return (raw & ~config.mask.bits) | pats
     return bitplane.adjust_nearest_packed(raw, config.mask, pats)
+
+
+class _Placer:
+    """Stage 1 of embed: the walk positions and closed-form raw carriers of
+    payload groups, skipping every position whose carrier is over the
+    threshold. It owns the resolved prefix of the walk, `perm`.
+
+    Until the first rejection it places groups in windows along the walk:
+    the first window is the whole payload, so an embed without rejections
+    makes one closed-form call. From the first rejection on, it places them
+    from an accept table, which for walk positions start..end holds the
+    closed-form carrier and its accept bit under each distinct pattern of
+    the groups still to place, so a rejection costs no engine call. A group
+    goes to the first position from the cursor whose accept bit for its
+    pattern is set. Each chunk added to the table holds at least the groups
+    left and half the table so far, but at most TABLE_CHUNK_CELLS cells, and
+    ends at the latest at the resolved prefix, which at least doubles when
+    the table reaches it; so the rows stay linear in the payload plus the
+    rejections, and the calls logarithmic until chunks reach their cap.
+    An entry depends only on its position and pattern, so the table stays
+    valid after a GA-caused rejection; only a cursor moved back before
+    `start` needs a new one. With more than TABLE_MAX_PATTERNS patterns the
+    table's rows would cost more than the calls they save, and windows go
+    on: after a rejection the next holds max(8, 2 x the run just accepted),
+    doubling after each fully accepted window.
+    """
+
+    def __init__(self, values: np.ndarray, groups: np.ndarray, config: EmbedConfig):
+        self.values = values
+        self.groups = groups
+        self.config = config
+        self.perm = np.empty(0, dtype=np.int64)  # the resolved prefix of the walk
+        self.window = len(groups)
+        self.start = -1  # the table's first walk position; -1 before a rejection
+        self.tabled = False  # whether groups are placed from the table
+
+    def place(self, pos: int, g: int, goal: int):
+        """Place groups g..goal-1 from walk position pos. Returns their walk
+        positions, their raw carriers, the positions skipped before the last
+        of them, and the position after it. It stops short of goal only at
+        the end of the walk."""
+        n = len(self.values)
+        where = [np.empty(0, dtype=np.int64)]
+        carriers = [np.empty(0, dtype=np.int64)]
+        skips: list[int] = []
+        if len(self.perm) and self.start < 0:
+            # a later call follows a GA-caused rejection, the embed's first
+            self._new_table(pos, g)
+        while g < goal and pos < n:
+            if self.tabled:
+                if pos < self.start:
+                    self._new_table(pos, g)
+                pos, g = self._scan(pos, g, goal, where, carriers, skips)
+                continue
+            width = min(self.window, goal - g, n - pos)
+            if pos + width > len(self.perm):
+                self.perm = permute_indices(
+                    n, self.config.key, max(pos + width, 2 * len(self.perm))
+                )
+            out, ok = self._closed_forms(
+                self.perm[pos : pos + width], self.groups[g : g + width]
+            )
+            rejected = np.flatnonzero(~ok)
+            accepted = int(rejected[0]) if len(rejected) else width
+            where.append(np.arange(pos, pos + accepted))
+            carriers.append(out[:accepted])
+            g += accepted
+            if accepted < width:
+                # the sample at the rejection stays original; its bits retry
+                # at the next position
+                skips.append(pos + accepted)
+                pos += accepted + 1
+                self.window = max(8, 2 * accepted)
+                if self.start < 0:
+                    self._new_table(pos, g)
+            else:
+                pos += width
+                self.window = 2 * width
+        return np.concatenate(where), np.concatenate(carriers), skips, pos
+
+    def _scan(self, pos, g, goal, where, carriers, skips):
+        """Place groups g.. from pos by the table, up to goal or the end of
+        the walk, appending to where, carriers and skips; returns pos and g."""
+        n = len(self.values)
+        rows, first = self.rows, self.first
+        cols: list[int] = []  # the table columns of groups placed one by one
+        placed_rows: list[int] = []  # and their patterns' table rows
+
+        def flush():
+            where.append(np.asarray(cols, dtype=np.int64) + self.start)
+            carriers.append(self.out[placed_rows, cols])
+            cols.clear()
+            placed_rows.clear()
+
+        run = 0  # groups placed since the last skip
+        while g < goal:
+            if pos == self.end:
+                if pos == n:
+                    break
+                self._extend(goal - g)
+            col = pos - self.start
+            if run >= 8:
+                # a run of accepts: read the next groups' table entries
+                # along the diagonal at once, as if no position were skipped
+                flush()
+                i = g - first
+                width = min(2 * run, goal - g, self.end - pos)
+                got = self.out[self.row_array[i : i + width], np.arange(col, col + width)]
+                rejected = np.flatnonzero(got < 0)
+                accepted = int(rejected[0]) if len(rejected) else width
+                where.append(np.arange(pos, pos + accepted))
+                carriers.append(got[:accepted])
+                pos += accepted
+                g += accepted
+                run = run + accepted if accepted == width else 0
+                continue
+            row = rows[g - first]
+            hit = self.accept_bytes[row].find(1, col)
+            if hit < 0:  # no accepted position up to the table's end
+                skips.extend(range(pos, self.end))
+                pos = self.end
+                run = 0
+                continue
+            skips.extend(range(pos, self.start + hit))
+            run = run + 1 if hit == col else 1
+            cols.append(hit)
+            placed_rows.append(row)
+            pos = self.start + hit + 1
+            g += 1
+        flush()
+        return pos, g
+
+    def _closed_forms(self, idxs: np.ndarray, pats: np.ndarray):
+        """The raw closed-form carriers of the samples at walk indices `idxs`
+        under the packed patterns `pats`, broadcast against them, and their
+        accept bits."""
+        c = self.config
+        samples = self.values[idxs]
+        out = _closed_form(c, samples & ((1 << c.mask.bit_depth) - 1), pats)
+        devs = np.abs(bitplane.values_of(out, c.mask.bit_depth) - samples)
+        return out, devs <= c.threshold
+
+    def _new_table(self, pos: int, g: int) -> None:
+        """An empty table from walk position pos, for groups g.. ."""
+        patterns, rows = np.unique(self.groups[g:], return_inverse=True)
+        self.tabled = len(patterns) <= TABLE_MAX_PATTERNS
+        self.patterns = patterns[:, None]
+        self.row_array = rows  # group g + i has the pattern in row rows[i]
+        self.rows = rows.tolist()
+        self.first = g
+        self.start = self.end = pos
+        # the raw carriers, -1 where rejected, in a buffer that doubles
+        # when full; and each row's accept bits as bytes, for find
+        self.out = np.empty((len(patterns), 0), dtype=np.int32)
+        self.accept_bytes = [bytearray() for _ in patterns]
+
+    def _extend(self, left: int) -> None:
+        """Add a chunk at the table's end, with `left` groups still to place."""
+        pos = self.end
+        if pos == len(self.perm):
+            self.perm = permute_indices(
+                len(self.values), self.config.key, max(pos + left, 2 * pos)
+            )
+        width = min(max(8, left, (pos - self.start) // 2),
+                    TABLE_CHUNK_CELLS // len(self.patterns))
+        self.end = min(pos + width, len(self.perm))
+        out, ok = self._closed_forms(self.perm[None, pos : self.end], self.patterns)
+        a, b = pos - self.start, self.end - self.start
+        if b > self.out.shape[1]:
+            grown = np.empty((len(self.patterns), 2 * b), dtype=np.int32)
+            grown[:, :a] = self.out[:, :a]
+            self.out = grown
+        self.out[:, a:b] = np.where(ok, out, -1)
+        for bits, more in zip(self.accept_bytes, ok):
+            bits += more.tobytes()
 
 
 # --- key file serialization ------------------------------------------------------

@@ -426,9 +426,10 @@ class TestEmbedCost:
         assert rows <= 4 * report.samples_used + 8 * report.samples_skipped
 
     def test_ga_optimum_computed_once_per_window(self, monkeypatch):
-        # Stage 1 of a ga embed is the nearest embed's window loop. When the
-        # GA misses the threshold on no carrier, ga computes the same optima
-        # in the same windows, one call each, skips the same samples and runs
+        # Stage 1 of a ga embed is the nearest embed's: its first window,
+        # then its accept table. When the GA misses the threshold on no
+        # carrier, ga computes the same optima in the same calls (the first
+        # window, then the table's chunks), skips the same samples and runs
         # one GA batch over nearest's carriers, handed their optima.
         rnd = random.Random(4)
         cover = random_cover(rnd, 20_000, bit_depth=8)
@@ -439,7 +440,7 @@ class TestEmbedCost:
         windows = []
 
         def optimum(raw, mask, pats):
-            windows.append(len(raw))
+            windows.append(np.broadcast(raw, pats).shape)
             return adjust_nearest_packed(raw, mask, pats)
 
         batches = self.record_ga(monkeypatch)
@@ -457,6 +458,42 @@ class TestEmbedCost:
         assert np.array_equal(batches[0][3], near.samples[used])  # 8-bit: raw is value
         assert extract(stego, key) == msg
 
+    @staticmethod
+    def record_closed_forms(monkeypatch):
+        """The rows of every stage 1 closed-form call: its broadcast size."""
+        calls = []
+        real = pipeline._closed_form
+
+        def recording(config, raw, pats):
+            calls.append(np.broadcast(raw, pats).size)
+            return real(config, raw, pats)
+
+        monkeypatch.setattr(pipeline, "_closed_form", recording)
+        return calls
+
+    @pytest.mark.parametrize("mode", ["plain", "nearest"])
+    def test_closed_form_calls_logarithmic_in_rejections(self, mode, monkeypatch):
+        # plain rejects about every other carrier here and nearest about one
+        # in seven: one closed-form call per rejection would break the bound
+        rnd = random.Random(4)
+        cover = random_cover(rnd, 20_000, bit_depth=8)
+        msg = bytes(rnd.randrange(256) for _ in range(32))
+        mask = LayerMask((4,), 8)
+        config = EmbedConfig(mask=mask, key=MasterKey(5), mode=mode, threshold=3)
+        calls = self.record_closed_forms(monkeypatch)
+        stego, key, report = embed(cover, msg, config)
+        walked = report.samples_used + report.samples_skipped
+        assert report.samples_skipped > 2 * math.log2(walked)
+        assert len(calls) <= 2 * math.log2(walked)
+        assert sum(calls) <= 2**mask.k * 2 * walked + 8
+        assert extract(stego, key) == msg
+
+        # with no rejection, the first window is the only call
+        calls.clear()
+        _, key, report = embed(cover, msg, dataclasses.replace(config, threshold=8))
+        assert key.skipped_indices == ()
+        assert calls == [report.samples_used]
+
 
 class TestReferenceEmbed:
     """embed places, skips and scores every carrier like reference_embed."""
@@ -465,6 +502,10 @@ class TestReferenceEmbed:
         # bit depth, layers, threshold
         (8, (4,), 3), (8, (1, 2), 1),
         (16, (4,), 3), (16, (1, 2), 1), (16, (2, 9), 100),
+        # rejection-heavy: placed from the accept table, at most 16 patterns
+        (16, (1, 2, 3, 4), 4),
+        # more than TABLE_MAX_PATTERNS patterns: placed in windows
+        (16, (1, 2, 3, 4, 5), 8),
     ]
 
     @staticmethod
@@ -483,15 +524,24 @@ class TestReferenceEmbed:
 
     @pytest.mark.parametrize("bit_depth,layers,threshold", CASES)
     @pytest.mark.parametrize("mode", ["plain", "nearest", "ga"])
-    def test_modes_masks_and_depths(self, mode, bit_depth, layers, threshold):
+    def test_modes_masks_and_depths(self, mode, bit_depth, layers, threshold, monkeypatch):
         rnd = random.Random(f"{mode}{bit_depth}{layers}")
         cover = random_cover(rnd, 2000, bit_depth=bit_depth)
         config = EmbedConfig(
             mask=LayerMask(layers, bit_depth), key=MasterKey(rnd.getrandbits(64)),
             mode=mode, threshold=threshold,
         )
+        shapes = []
+        real = pipeline._closed_form
+        monkeypatch.setattr(pipeline, "_closed_form", lambda config, raw, pats: (
+            shapes.append(np.broadcast(raw, pats).shape) or real(config, raw, pats)
+        ))
         key, _ = self.check(cover, rnd.randbytes(24), config)
         assert key.skipped_indices
+        # a table call has one row per pattern; the cases lie on both sides
+        # of the cut between table and windows
+        tabled = any(len(shape) == 2 for shape in shapes)
+        assert tabled == (len(layers) < 5)
 
     def test_ga_caused_rejections(self):
         # one generation leaves many carriers short of their optimum, so the

@@ -23,8 +23,13 @@ compares `oracle-check` stdout, stderr and exit code on 8 drawn seeds, half
 at each bit depth, each with a `--samples` of 0, 1, 30 or 100. Then it
 compares a digest of `permute_indices(n, key, count)` for 6 walks of 65,537
 to 1,000,000 samples, each at counts 2**16 - 1, 2**16, 2**16 + 1, one count
-up to n and n itself, so the prefix spans both 16-bit digits of its sort;
-these are drawn after all other cases, which keep their draws.
+up to n and n itself, so the prefix spans both 16-bit digits of its sort.
+Last come 30 rejection-heavy embed cases, ten per mode: four to six layers
+at either bit depth, a uniform or sine cover of 50,000 to 200,000 samples, a
+message of up to 4 KiB and a threshold just under the mask's optimum bound,
+so that many carriers are rejected and the patterns fall on both sides of
+`pipeline.TABLE_MAX_PATTERNS`. The walk and rejection-heavy cases are drawn
+after all the others, which keep their draws.
 
 Prints the count of each outcome and the first mismatching case, and exits 1
 on any mismatch (2 when the comparison cannot run). It needs the repository's git history, so it is a tool, not
@@ -55,6 +60,7 @@ THRESHOLDS = [math.inf, 0, 1, 2, 3, 5, 17, 300]
 KEYGEN_CASES = 40
 ORACLE_CASES = 8
 WALK_CASES = 6
+HEAVY_CASES = 30
 
 
 # --- cases ---------------------------------------------------------------------
@@ -143,6 +149,38 @@ def walk_cases(rnd: random.Random, count: int) -> list[dict]:
         n = rnd.randint(2**16 + 1, 1_000_000)
         cases.append({"samples": n, "key": rnd.getrandbits(64),
                       "counts": [2**16 - 1, 2**16, 2**16 + 1, rnd.randint(0, n), n]})
+    return cases
+
+
+def optimum_bound(layers: list[int], depth: int) -> int:
+    """Half the widest gap between consecutive values that carry one
+    pattern, counting the step past the top of the range: the nearest value
+    of a sample away from the range's ends is never farther."""
+    free = [b for b in range(depth) if b + 1 not in layers] + [depth]
+    return max((1 << b) - sum(1 << c for c in free if c < b) for b in free) // 2
+
+
+def heavy_cases(rnd: random.Random, count: int) -> list[dict]:
+    cases = []
+    for i in range(count):
+        depth = rnd.choice([8, 16])
+        layers = sorted(rnd.sample(range(1, depth + 1), rnd.randint(4, 6)))
+        bound = optimum_bound(layers, depth)
+        cases.append({
+            "bit_depth": depth,
+            "layers": layers,
+            "mode": ("plain", "nearest", "ga")[i % 3],
+            "threshold": bound - rnd.randint(1, max(1, bound // 4)),
+            "ga": {"population_size": 16, "generations": 64,
+                   "crossover_prob": 0.8, "mutation_prob": 0.1},
+            "key": rnd.getrandbits(64),
+            "cover": rnd.choice(["uniform", "sine"]),
+            "samples": rnd.randint(50_000, 200_000),
+            "channels": 1,
+            "cover_seed": rnd.getrandbits(32),
+            "message_len": rnd.randint(1, 4096),
+            "message_seed": rnd.getrandbits(32),
+        })
     return cases
 
 
@@ -255,6 +293,7 @@ def worker(src: str, cases_path: str, out_path: str) -> None:
             "keygen": [run_keygen_case(c, main, np, Path(scratch)) for c in cases["keygen"]],
             "oracle": [run_oracle_case(c, main) for c in cases["oracle"]],
             "walk": [run_walk_case(c, g) for c in cases["walk"]],
+            "heavy": [run_embed_case(c, g, np) for c in cases["heavy"]],
         }
     Path(out_path).write_text(json.dumps(results))
 
@@ -302,6 +341,7 @@ def main(argv: list[str] | None = None) -> int:
     rnd = random.Random(args.seed)
     cases = {"embed": embed_cases(rnd, args.cases), "keygen": keygen_cases(rnd, KEYGEN_CASES),
              "oracle": oracle_cases(rnd, ORACLE_CASES), "walk": walk_cases(rnd, WALK_CASES)}
+    cases["heavy"] = heavy_cases(rnd, HEAVY_CASES)
     start = time.perf_counter()
     with tempfile.TemporaryDirectory() as tmp:
         tmp = Path(tmp)
@@ -333,7 +373,7 @@ def main(argv: list[str] | None = None) -> int:
     print(f"differential: working tree against {commit}, seed {args.seed}, "
           f"{time.perf_counter() - start:.0f} s")
     mismatches = []
-    for kind in ("embed", "keygen", "oracle", "walk"):
+    for kind in ("embed", "keygen", "oracle", "walk", "heavy"):
         outcomes = Counter()
         for i, (old, new) in enumerate(zip(rev_out[kind], new_out[kind])):
             outcomes[new["outcome"]] += 1

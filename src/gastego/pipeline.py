@@ -349,7 +349,9 @@ class _Placer:
         self.start = -1  # the table's first walk position; -1 before a rejection
         self.tabled = False  # whether groups are placed from the table
 
-    def place(self, pos: int, g: int, goal: int):
+    def place(
+        self, pos: int, g: int, goal: int
+    ) -> tuple[np.ndarray, np.ndarray, list[int], int]:
         """Place groups g..goal-1 from walk position pos. Returns their walk
         positions, their raw carriers, the positions skipped before the last
         of them, and the position after it. It stops short of goal only at
@@ -393,7 +395,10 @@ class _Placer:
                 self.window = 2 * width
         return np.concatenate(where), np.concatenate(carriers), skips, pos
 
-    def _scan(self, pos, g, goal, where, carriers, skips):
+    def _scan(
+        self, pos: int, g: int, goal: int,
+        where: list[np.ndarray], carriers: list[np.ndarray], skips: list[int],
+    ) -> tuple[int, int]:
         """Place groups g.. from pos by the table, up to goal or the end of
         the walk, appending to where, carriers and skips; returns pos and g."""
         n = len(self.values)
@@ -445,7 +450,9 @@ class _Placer:
         flush()
         return pos, g
 
-    def _closed_forms(self, idxs: np.ndarray, pats: np.ndarray):
+    def _closed_forms(
+        self, idxs: np.ndarray, pats: np.ndarray
+    ) -> tuple[np.ndarray, np.ndarray]:
         """The raw closed-form carriers of the samples at walk indices `idxs`
         under the packed patterns `pats`, broadcast against them, and their
         accept bits."""

@@ -95,6 +95,20 @@ def reference_embed(cover, message, config):
     return stego, tuple(sorted(skipped)), max_dev, ga_caused
 
 
+def record_closed_forms(monkeypatch):
+    """The shape of every stage 1 closed-form call: its rows broadcast
+    against its patterns, one dimension more for an accept table's chunk."""
+    shapes = []
+    real = pipeline._closed_form
+
+    def recording(config, raw, pats):
+        shapes.append(np.broadcast(raw, pats).shape)
+        return real(config, raw, pats)
+
+    monkeypatch.setattr(pipeline, "_closed_form", recording)
+    return shapes
+
+
 def reference_snr_db(original, stego):
     """The SNR of the embedding in dB, from the two whole buffers: the noise
     is the sum of the squared sample differences, summed on Python ints."""
@@ -458,19 +472,6 @@ class TestEmbedCost:
         assert np.array_equal(batches[0][3], near.samples[used])  # 8-bit: raw is value
         assert extract(stego, key) == msg
 
-    @staticmethod
-    def record_closed_forms(monkeypatch):
-        """The rows of every stage 1 closed-form call: its broadcast size."""
-        calls = []
-        real = pipeline._closed_form
-
-        def recording(config, raw, pats):
-            calls.append(np.broadcast(raw, pats).size)
-            return real(config, raw, pats)
-
-        monkeypatch.setattr(pipeline, "_closed_form", recording)
-        return calls
-
     @pytest.mark.parametrize("mode", ["plain", "nearest"])
     def test_closed_form_calls_logarithmic_in_rejections(self, mode, monkeypatch):
         # plain rejects about every other carrier here and nearest about one
@@ -480,19 +481,19 @@ class TestEmbedCost:
         msg = bytes(rnd.randrange(256) for _ in range(32))
         mask = LayerMask((4,), 8)
         config = EmbedConfig(mask=mask, key=MasterKey(5), mode=mode, threshold=3)
-        calls = self.record_closed_forms(monkeypatch)
+        calls = record_closed_forms(monkeypatch)
         stego, key, report = embed(cover, msg, config)
         walked = report.samples_used + report.samples_skipped
         assert report.samples_skipped > 2 * math.log2(walked)
         assert len(calls) <= 2 * math.log2(walked)
-        assert sum(calls) <= 2**mask.k * 2 * walked + 8
+        assert sum(map(math.prod, calls)) <= 2**mask.k * 2 * walked + 8
         assert extract(stego, key) == msg
 
         # with no rejection, the first window is the only call
         calls.clear()
         _, key, report = embed(cover, msg, dataclasses.replace(config, threshold=8))
         assert key.skipped_indices == ()
-        assert calls == [report.samples_used]
+        assert calls == [(report.samples_used,)]
 
 
 class TestReferenceEmbed:
@@ -531,15 +532,11 @@ class TestReferenceEmbed:
             mask=LayerMask(layers, bit_depth), key=MasterKey(rnd.getrandbits(64)),
             mode=mode, threshold=threshold,
         )
-        shapes = []
-        real = pipeline._closed_form
-        monkeypatch.setattr(pipeline, "_closed_form", lambda config, raw, pats: (
-            shapes.append(np.broadcast(raw, pats).shape) or real(config, raw, pats)
-        ))
+        shapes = record_closed_forms(monkeypatch)
         key, _ = self.check(cover, rnd.randbytes(24), config)
         assert key.skipped_indices
-        # a table call has one row per pattern; the cases lie on both sides
-        # of the cut between table and windows
+        # the cases lie on both sides of pipeline.TABLE_MAX_PATTERNS: only
+        # the 5-layer one has more patterns and is placed without a table
         tabled = any(len(shape) == 2 for shape in shapes)
         assert tabled == (len(layers) < 5)
 

@@ -340,8 +340,8 @@ def main(argv: list[str] | None = None) -> int:
         return 2
     rnd = random.Random(args.seed)
     cases = {"embed": embed_cases(rnd, args.cases), "keygen": keygen_cases(rnd, KEYGEN_CASES),
-             "oracle": oracle_cases(rnd, ORACLE_CASES), "walk": walk_cases(rnd, WALK_CASES)}
-    cases["heavy"] = heavy_cases(rnd, HEAVY_CASES)
+             "oracle": oracle_cases(rnd, ORACLE_CASES), "walk": walk_cases(rnd, WALK_CASES),
+             "heavy": heavy_cases(rnd, HEAVY_CASES)}
     start = time.perf_counter()
     with tempfile.TemporaryDirectory() as tmp:
         tmp = Path(tmp)

@@ -2,9 +2,9 @@
 
 Subcommands: embed, extract, inspect, keygen-ga, oracle-check.
 Exit codes are stable: 0 success, 1 I/O or parse failure, 2 capacity or
-configuration problem, 3 key/stego mismatch, 4 optimality contract violation
-found by oracle-check. All randomness is seeded (--seed, default 0);
---random-seed opts into a fresh key from the OS.
+configuration problem or memory exhaustion, 3 key/stego mismatch, 4
+optimality contract violation found by oracle-check. All randomness is
+seeded (--seed, default 0); --random-seed opts into a fresh key from the OS.
 """
 
 from __future__ import annotations
@@ -61,6 +61,9 @@ def main(argv: list[str] | None = None) -> int:
     except (StegoError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    except MemoryError as exc:
+        print(f"error: out of memory: {exc}", file=sys.stderr)
+        return 2
 
 
 def _build_parser() -> argparse.ArgumentParser:

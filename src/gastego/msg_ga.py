@@ -32,6 +32,14 @@ gene-count array, moved once per generation by the offspring less the kills.
 Each generation reads the scarce pool from it once; the first offspring's
 mutation removes from it the drawn value, its one gene not already counted.
 
+Most generations are steady: the second member is a copy of the best and
+the pool is empty. Crossing two equal parents returns them whatever the cut,
+and nothing mutates, so both offspring are copies of the best. A steady
+generation advances the stream past its cut draw without using it, inserts
+the best itself twice behind its equal members, and moves the counts by
+twice the best's, kept until the best changes. Generation 0's fitnesses come
+from one numpy pass over a one-hot table of each member's values.
+
 This GA stands alone; optionally its winner can be folded into a master key
 seed for the embedding pipeline (see derive_key_from_genes).
 """
@@ -108,20 +116,28 @@ def evolve(message: bytes, params: MsgGaParams = MsgGaParams()) -> EvolveResult:
             f"{n} genes per individual cannot cover {target} distinct values"
         )
 
-    rng = SplitMix64(derive_seed(MasterKey(params.seed), "msg-ga", 0))
-    pop = init_population(message, L, n, rng)
-    # fittest first, ties in insertion order; neg holds the negated fitnesses
-    # so that bisect_right places a newcomer after every equal member
-    neg = [-len(distinct.intersection(ind)) for ind in pop]
-    order = sorted(range(L), key=neg.__getitem__)
-    pop = [pop[i] for i in order]
-    neg = [neg[i] for i in order]
-
     def gene_counts(genes: bytes) -> np.ndarray:
         return np.bincount(np.frombuffer(genes, np.uint8), minlength=256)
 
+    rng = SplitMix64(derive_seed(MasterKey(params.seed), "msg-ga", 0))
+    pop = init_population(message, L, n, rng)
+    joined = b"".join(pop)
     wanted = gene_counts(message) > 0
-    counts = gene_counts(b"".join(pop))
+    counts = gene_counts(joined)
+    # generation 0's fitnesses from a one-hot held[member, value], a block of
+    # at most 4,096 members at a time; neg holds the negated fitnesses
+    genes = np.frombuffer(joined, np.uint8).reshape(L, n)
+    neg = np.empty(L, np.int64)
+    for start in range(0, L, 4096):
+        block = genes[start : start + 4096]
+        held = np.zeros((len(block), 256), bool)
+        held[np.arange(len(block))[:, None], block] = True
+        neg[start : start + 4096] = -(held & wanted).sum(axis=1)
+    # fittest first, ties in insertion order, so that bisect_right places a
+    # newcomer after every equal member
+    order = np.argsort(neg, kind="stable")
+    pop = [pop[i] for i in order]
+    neg = neg[order].tolist()
 
     def mutate(child: bytes, pool: list[int]) -> bytes:
         # slots: genes that are not a message value held once. A child with
@@ -139,27 +155,41 @@ def evolve(message: bytes, params: MsgGaParams = MsgGaParams()) -> EvolveResult:
     history = [-neg[0]]
     sizes = [len(pop)]
     generations = 0
+    steady_best = None
     while history[-1] < target and generations < params.max_generations:
         generations += 1
-        # target >= 2 here (one distinct value fits every individual from the
-        # start), so n >= 2 and there is a cut point
         p1, p2 = pop[0], pop[1]
-        cut = 1 + rng.next_below(n - 1)
         pool = np.flatnonzero(wanted & (counts == 0)).tolist()
-        born = dead = b""
-        for child in (p1[:cut] + p2[cut:], p2[:cut] + p1[cut:]):
-            if pool:
-                child = mutate(child, pool)
-            born += child
-            f = -len(distinct.intersection(child))
-            i = bisect_right(neg, f)
-            pop.insert(i, child)
-            neg.insert(i, f)
-            dup.insert(i, child == pop[0])
+        if dup[1] and not pool:
+            # steady: both parents are the best and nothing is scarce, so
+            # both children are copies of it, whatever the cut. The cut draw
+            # is still read, and the copies go behind every equal member.
+            rng.next64()
+            if steady_best is not p1:
+                steady_best, twice_best = p1, 2 * gene_counts(p1)
+            i = bisect_right(neg, neg[0])
+            pop[i:i], neg[i:i], dup[i:i] = (p1, p1), (neg[0], neg[0]), (True, True)
+            grown = twice_best
+        else:
+            # target >= 2 here (one distinct value fits every individual from
+            # the start), so n >= 2 and there is a cut point
+            cut = 1 + rng.next_below(n - 1)
+            born = b""
+            for child in (p1[:cut] + p2[cut:], p2[:cut] + p1[cut:]):
+                if pool:
+                    child = mutate(child, pool)
+                born += child
+                f = -len(distinct.intersection(child))
+                i = bisect_right(neg, f)
+                pop.insert(i, child)
+                neg.insert(i, f)
+                dup.insert(i, child == pop[0])
+            grown = gene_counts(born)
         if -neg[0] > history[-1]:
             # a new best is an offspring; every older member is less fit, so
             # only the other offspring, second in line, can be a copy of it
             dup = [True, pop[1] == pop[0]] + [False] * (len(pop) - 2)
+        dead = b""
         for _ in range(2):
             # the first member of the least-fit run that is not a copy of the
             # best, or the run's first member when every one is a copy
@@ -170,7 +200,7 @@ def evolve(message: bytes, params: MsgGaParams = MsgGaParams()) -> EvolveResult:
                 i = run
             dead += pop[i]
             del pop[i], neg[i], dup[i]
-        counts += gene_counts(born) - gene_counts(dead)
+        counts += grown - gene_counts(dead)
         history.append(-neg[0])
         sizes.append(len(pop))
 

@@ -1,11 +1,16 @@
 """CLI: subcommand behavior, exit codes, reports, determinism."""
 
 import json
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import gastego
 from gastego import bitplane, ga_adjust, pipeline
 from gastego.cli import main
 from gastego.wav_io import AudioBuffer, parse_wav, write_wav
@@ -245,6 +250,36 @@ class TestExitCodes:
         out.write_bytes(b"not a wav at all")
         assert main(["extract", "--stego", str(out), "--key", str(key),
                      "--out", str(ws / "rec.bin")]) == 1
+
+    @pytest.mark.parametrize("command, flag", [
+        ("keygen-ga", "--pop"),
+        ("embed", "--ga-pop"),
+    ], ids=["keygen-ga", "embed"])
+    def test_memory_exhaustion_is_2(self, workspace, command, flag):
+        # the child caps its address space at 3 GB before it imports
+        # anything, so the huge population fails to allocate and nothing is
+        # touched; if the cap cannot be set, the child fails without running
+        ws, cover_path, _ = workspace
+        msg_path = ws / "msg512.bin"
+        msg_path.write_bytes(random.Random(512).randbytes(512))
+        argv = [command, "--message", str(msg_path), flag, "100000000"]
+        if command == "embed":
+            argv += ["--cover", str(cover_path), "--out", str(ws / "stego.wav"),
+                     "--key-out", str(ws / "key.txt")]
+        script = (
+            "import resource, sys\n"
+            "resource.setrlimit(resource.RLIMIT_AS, (3 * 10**9, 3 * 10**9))\n"
+            "from gastego.cli import main\n"
+            "sys.exit(main(sys.argv[1:]))\n"
+        )
+        src = str(Path(gastego.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=src)
+        proc = subprocess.run([sys.executable, "-c", script, *argv], env=env,
+                              capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 2, proc.stderr
+        assert proc.stderr.startswith("error: out of memory: ")
+        assert proc.stderr.count("\n") == 1 and proc.stdout == ""
+        assert not (ws / "stego.wav").exists()
 
 
 class TestInspect:

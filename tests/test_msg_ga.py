@@ -1,5 +1,6 @@
 """Message-level GA: set-operator fitness, scarce genes, convergence."""
 
+import dataclasses
 import hashlib
 import random
 from collections import Counter
@@ -117,6 +118,20 @@ def reference_evolve(message, params=MsgGaParams()):
 def outputs(res):
     return (res.best, res.best_fitness, res.target_fitness, res.generations,
             res.fitness_history, res.population_sizes)
+
+
+@pytest.fixture
+def next_below_calls(monkeypatch):
+    """A one-item list that counts SplitMix64.next_below calls; tests reset it."""
+    calls = [0]
+    draw = SplitMix64.next_below
+
+    def counting(self, n):
+        calls[0] += 1
+        return draw(self, n)
+
+    monkeypatch.setattr(SplitMix64, "next_below", counting)
+    return calls
 
 
 class TestInitPopulation:
@@ -255,6 +270,42 @@ class TestReferenceEvolve:
         # every kind of case was exercised, not merely generated
         assert min(seen.values()) >= 10, seen
 
+    def test_agrees_with_reference_on_steady_runs(self, next_below_calls):
+        # A generation is steady when pop[1] is a copy of the best and no
+        # message value is missing; most generations of a long run are.
+        # reference_evolve draws every initial gene and every cut, so evolve
+        # makes one next_below call fewer than it per steady generation, past
+        # the reference's L * n initial draws.
+        rnd = random.Random(41)
+        cases = [(rnd.randbytes(rnd.randint(150, 600)), MsgGaParams(seed=rnd.getrandbits(64)))
+                 for _ in range(4)]
+        # three members rarely hold every value: this run takes one steady
+        # generation of its 87
+        cases.append((rnd.randbytes(rnd.randint(150, 600)),
+                      MsgGaParams(population_size=3, seed=rnd.getrandbits(64))))
+        cap = 91
+        capped = MsgGaParams(max_generations=cap, seed=rnd.getrandbits(64))
+        cases.append((rnd.randbytes(rnd.randint(150, 600)), capped))
+
+        def calls(run, msg, params):
+            next_below_calls[0] = 0
+            res = run(msg, params)
+            return res, next_below_calls[0]
+
+        for msg, params in cases:
+            ref, ref_calls = calls(reference_evolve, msg, params)
+            res, evolve_calls = calls(evolve, msg, params)
+            assert outputs(res) == outputs(ref), (msg, params)
+            initial = (params.population_size or len(msg)) * ref.target_fitness
+            assert evolve_calls < ref_calls - initial, (msg, params)
+
+        # the capped run stops inside a steady run: generations cap and
+        # cap + 1 make no next_below call
+        msg = cases[-1][0]
+        assert len({calls(evolve, msg, dataclasses.replace(capped, max_generations=g))[1]
+                    for g in (cap - 1, cap, cap + 1)}) == 1
+        assert calls(evolve, msg, capped)[0].best_fitness < len(set(msg))
+
     def test_one_gene_cases_stop_at_generation_zero(self):
         # one gene covers one distinct value only, so the message has a
         # single value, every initial gene is that value and the generation
@@ -351,6 +402,15 @@ class TestGoldenEvolve:
         text = ",".join(map(str, res.fitness_history)).encode()
         assert hashlib.sha256(text).hexdigest()[:16] == history
         assert derive_key_from_genes(res.best).hex() == key
+
+    def test_steady_generations_read_no_cut_draw(self, next_below_calls):
+        # every generation that is not steady draws its cut with next_below;
+        # a steady one reads its cut off the stream without a call, and most
+        # of this run's generations are steady. The pins above fix where the
+        # stream ends.
+        res = evolve(random.Random(512).randbytes(512))
+        assert res.generations == 1066
+        assert next_below_calls[0] < res.generations // 2
 
 
 class TestDeriveKeyFromGenes:

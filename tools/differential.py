@@ -28,8 +28,13 @@ Last come 30 rejection-heavy embed cases, ten per mode: four to six layers
 at either bit depth, a uniform or sine cover of 50,000 to 200,000 samples, a
 message of up to 4 KiB and a threshold just under the mask's optimum bound,
 so that many carriers are rejected and the patterns fall on both sides of
-`pipeline.TABLE_MAX_PATTERNS`. The walk and rejection-heavy cases are drawn
-after all the others, which keep their draws.
+`pipeline.TABLE_MAX_PATTERNS`. Then come 20 `keygen-ga` cases on long runs,
+whose generations are mostly steady (the best's copy second in line and no
+message value missing): a random message of 256 B to 2 KiB, with the
+default flags or a `--max-gens` of 1 to 3,000. For these it also compares
+digests of `evolve`'s `fitness_history` and `population_sizes`. The walk,
+rejection-heavy and steady cases are drawn after all the others, which keep
+their draws.
 
 Prints the count of each outcome and the first mismatching case, and exits 1
 on any mismatch (2 when the comparison cannot run). It needs the repository's git history, so it is a tool, not
@@ -61,6 +66,7 @@ KEYGEN_CASES = 40
 ORACLE_CASES = 8
 WALK_CASES = 6
 HEAVY_CASES = 30
+STEADY_CASES = 20
 
 
 # --- cases ---------------------------------------------------------------------
@@ -184,6 +190,20 @@ def heavy_cases(rnd: random.Random, count: int) -> list[dict]:
     return cases
 
 
+def steady_cases(rnd: random.Random, count: int) -> list[dict]:
+    return [{
+        "size": rnd.randint(256, 2048),
+        "alphabet": 256,
+        "low": 0,
+        "message_seed": rnd.getrandbits(32),
+        "seed": hex(rnd.getrandbits(64)),
+        "emit_master_key": True,
+        "pop": None,
+        "extra_genes": None,
+        "max_gens": rnd.choice([None, rnd.randint(1, 3000)]),
+    } for _ in range(count)]
+
+
 # --- worker: runs the cases against one source tree ------------------------------
 
 
@@ -258,6 +278,17 @@ def run_keygen_case(case: dict, main, np, scratch: Path) -> dict:
     return _run_cli(main, argv)
 
 
+def run_steady_case(case: dict, main, g, np, scratch: Path) -> dict:
+    result = run_keygen_case(case, main, np, scratch)
+    params = g.MsgGaParams(seed=int(case["seed"], 16))
+    if case["max_gens"] is not None:
+        params = dataclasses.replace(params, max_generations=case["max_gens"])
+    res = g.evolve((scratch / "message.bin").read_bytes(), params)
+    result["fitness_history"] = _digest(json.dumps(res.fitness_history).encode())
+    result["population_sizes"] = _digest(json.dumps(res.population_sizes).encode())
+    return result
+
+
 def run_oracle_case(case: dict, main) -> dict:
     return _run_cli(main, ["oracle-check", "--seed", case["seed"], "--bit-depth",
                            str(case["bit_depth"]), "--samples", str(case["samples"])])
@@ -294,6 +325,7 @@ def worker(src: str, cases_path: str, out_path: str) -> None:
             "oracle": [run_oracle_case(c, main) for c in cases["oracle"]],
             "walk": [run_walk_case(c, g) for c in cases["walk"]],
             "heavy": [run_embed_case(c, g, np) for c in cases["heavy"]],
+            "steady": [run_steady_case(c, main, g, np, Path(scratch)) for c in cases["steady"]],
         }
     Path(out_path).write_text(json.dumps(results))
 
@@ -341,7 +373,7 @@ def main(argv: list[str] | None = None) -> int:
     rnd = random.Random(args.seed)
     cases = {"embed": embed_cases(rnd, args.cases), "keygen": keygen_cases(rnd, KEYGEN_CASES),
              "oracle": oracle_cases(rnd, ORACLE_CASES), "walk": walk_cases(rnd, WALK_CASES),
-             "heavy": heavy_cases(rnd, HEAVY_CASES)}
+             "heavy": heavy_cases(rnd, HEAVY_CASES), "steady": steady_cases(rnd, STEADY_CASES)}
     start = time.perf_counter()
     with tempfile.TemporaryDirectory() as tmp:
         tmp = Path(tmp)
@@ -373,7 +405,7 @@ def main(argv: list[str] | None = None) -> int:
     print(f"differential: working tree against {commit}, seed {args.seed}, "
           f"{time.perf_counter() - start:.0f} s")
     mismatches = []
-    for kind in ("embed", "keygen", "oracle", "walk", "heavy"):
+    for kind in cases:
         outcomes = Counter()
         for i, (old, new) in enumerate(zip(rev_out[kind], new_out[kind])):
             outcomes[new["outcome"]] += 1
